@@ -12,7 +12,11 @@ hot-path regression" without paying the full serving benchmark:
 * **routing** — ``shards_for_users`` for the modulo-hash and
   consistent-hash routers at 1/4/7 shards;
 * **merge** — ``group_by_shard`` + ``scatter_to_request_order`` (the
-  coordinator's fan-out/fan-in bookkeeping) at 1/4/7 shards.
+  coordinator's fan-out/fan-in bookkeeping) at 1/4/7 shards;
+* **sign-up** — the median ``MatrixFactorization.add_user`` at 10k and
+  160k users.  A fold-in that re-copies the per-user matrix costs
+  O(users) and fails the 16x-users ratio gate; the growable row store
+  keeps it flat.
 
 Each quantity is best-of-``REPEATS`` and asserted against a generous
 regression ceiling (~6x the dev-host measurement, leaving headroom for
@@ -33,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments import format_table
+from repro.experiments.memory_bench import synthetic_mf
 from repro.serving import TopKCache
 from repro.serving.sharded import (
     ConsistentHashRouter,
@@ -55,6 +60,14 @@ CEILING_ROUTE_HASH_NS = 400.0  # dev host ~55
 CEILING_ROUTE_CONSISTENT_NS = 800.0  # dev host ~115
 CEILING_MERGE_NS = 3_000.0  # dev host ~60 (1 shard) to ~450 (7 shards)
 
+# Sign-up scaling: median add_user at two user counts, same catalog.
+SIGNUP_USERS = (10_000, 160_000)
+SIGNUP_ITEMS = 20_000
+SIGNUPS = 200
+SIGNUP_PROFILE_LEN = 6
+CEILING_SIGNUP_RATIO = 2.5  # dev host ~1.0 (a per-sign-up matrix copy: ~18)
+CEILING_SIGNUP_US = 200.0  # at 160k users; dev host ~12 (matrix copy: ~2,500)
+
 
 def _best_ns_per_user(fn, n_users: int = N_USERS, repeats: int = REPEATS) -> float:
     """Best-of-``repeats`` wall time of ``fn()``, normalised per user."""
@@ -64,6 +77,16 @@ def _best_ns_per_user(fn, n_users: int = N_USERS, repeats: int = REPEATS) -> flo
         fn()
         samples.append(time.perf_counter_ns() - t0)
     return min(samples) / n_users
+
+
+def _write_results(section: dict) -> None:
+    """Merge ``section`` into ``BENCH_hotpath.json`` (one file, two tests)."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / "BENCH_hotpath.json"
+    result = json.loads(path.read_text()) if path.exists() else {}
+    result.update(section)
+    with open(path, "w") as handle:
+        json.dump(result, handle, indent=2, sort_keys=True)
 
 
 def _workload():
@@ -134,9 +157,7 @@ def test_hotpath_microbench(report):
             "merge": CEILING_MERGE_NS,
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / "BENCH_hotpath.json", "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
+    _write_results(result)
 
     table_rows = [
         ["cache hit", hit_ns, CEILING_CACHE_HIT_NS],
@@ -165,3 +186,49 @@ def test_hotpath_microbench(report):
         assert routing["hash"][str(n_shards)] <= CEILING_ROUTE_HASH_NS, routing
         assert routing["consistent"][str(n_shards)] <= CEILING_ROUTE_CONSISTENT_NS, routing
         assert merge[str(n_shards)] <= CEILING_MERGE_NS, merge
+
+
+def _median_signup_us() -> dict[str, float]:
+    """Median wall time of one ``add_user`` at each of ``SIGNUP_USERS``.
+
+    Sign-ups alternate between the models, so host speed drifting during
+    the run moves both medians alike and leaves the ratio alone.
+    """
+    models = [synthetic_mf(n, SIGNUP_ITEMS) for n in SIGNUP_USERS]
+    rng = np.random.default_rng(0)
+    profiles = [
+        rng.choice(SIGNUP_ITEMS, size=SIGNUP_PROFILE_LEN, replace=False).tolist()
+        for _ in range(SIGNUPS)
+    ]
+    samples: list[list[int]] = [[] for _ in models]
+    for profile in profiles:
+        for model, times in zip(models, samples):
+            t0 = time.perf_counter_ns()
+            model.add_user(profile)
+            times.append(time.perf_counter_ns() - t0)
+    for n_users, model in zip(SIGNUP_USERS, models):
+        assert model.user_factors.shape[0] == n_users + SIGNUPS
+    return {str(n): float(np.median(t)) / 1e3 for n, t in zip(SIGNUP_USERS, samples)}
+
+
+def test_signup_scaling(report):
+    small, large = SIGNUP_USERS
+    median_us = _median_signup_us()
+    ratio = median_us[str(large)] / median_us[str(small)]
+    _write_results({
+        "signup": {
+            "n_items": SIGNUP_ITEMS,
+            "n_signups": SIGNUPS,
+            "median_add_user_us": median_us,
+            "ratio": ratio,
+            "ceilings": {"ratio": CEILING_SIGNUP_RATIO, "us_at_160k": CEILING_SIGNUP_US},
+        }
+    })
+    report(format_table(
+        ["users", "median add_user (us)"],
+        [[n, median_us[str(n)]] for n in SIGNUP_USERS] + [["ratio", ratio]],
+        title=f"Sign-up scaling — MF add_user, {SIGNUP_ITEMS} items, median of {SIGNUPS}",
+    ))
+
+    assert ratio <= CEILING_SIGNUP_RATIO, median_us
+    assert median_us[str(large)] <= CEILING_SIGNUP_US, median_us

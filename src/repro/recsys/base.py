@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.data.interactions import InteractionDataset
 from repro.errors import NotFittedError
+from repro.recsys.rows import RowStore
 
 __all__ = ["Recommender"]
 
@@ -47,6 +48,23 @@ class Recommender:
 
     def __init__(self) -> None:
         self._dataset: InteractionDataset | None = None
+
+    # -- copies and pickles ---------------------------------------------------
+    def __getstate__(self) -> dict:
+        """State for ``copy.copy``, ``copy.deepcopy`` and ``pickle``.
+
+        Each per-user :class:`~repro.recsys.rows.RowStore` is replaced by
+        a store over its live rows only, so spare capacity never crosses
+        the process boundary, and a copy and its original never append
+        into a buffer the other can see.
+        """
+        return {
+            name: value.share() if isinstance(value, RowStore) else value
+            for name, value in self.__dict__.items()
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
 
     @property
     def dataset(self) -> InteractionDataset:

@@ -24,6 +24,7 @@ import numpy as np
 from repro.data.interactions import InteractionDataset
 from repro.errors import ConfigurationError, NotFittedError
 from repro.recsys.base import Recommender
+from repro.recsys.rows import RowStore, rows_property
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng
 
@@ -51,6 +52,11 @@ class MatrixFactorization(Recommender):
         RNG seed for init and negative sampling.
     """
 
+    #: Per-user factors, exactly ``dataset.n_users`` rows, kept in a
+    #: growable :class:`~repro.recsys.rows.RowStore` so a fold-in is
+    #: amortized O(1) instead of a whole-matrix re-stack.
+    user_factors = rows_property("_user_rows")
+
     def __init__(
         self,
         n_factors: int = 8,
@@ -71,7 +77,7 @@ class MatrixFactorization(Recommender):
         self.n_epochs = n_epochs
         self.batch_size = batch_size
         self._rng = make_rng(seed)
-        self.user_factors: np.ndarray | None = None
+        self._user_rows: RowStore | None = None
         self.item_factors: np.ndarray | None = None
 
     # -- training ---------------------------------------------------------------
@@ -199,7 +205,7 @@ class MatrixFactorization(Recommender):
 
     def append_sliced_user(self, profile: Sequence[int], user_state) -> int:
         local_id = self.dataset.add_user(profile)
-        self.user_factors = np.vstack([self.user_factors, user_state])
+        self._user_rows.append(user_state)
         return local_id
 
     # -- online learning ---------------------------------------------------------
@@ -232,7 +238,7 @@ class MatrixFactorization(Recommender):
     def add_user(self, profile: Sequence[int]) -> int:
         """Fold in a new user as the mean of their profile's item factors."""
         user_id = self.dataset.add_user(profile)
-        self.user_factors = np.vstack([self.user_factors, self.embed_profile(profile)])
+        self._user_rows.append(self.embed_profile(profile))
         return user_id
 
     def snapshot(self):

@@ -30,6 +30,7 @@ from repro.errors import ConfigurationError, NotFittedError
 from repro.nn import Embedding, Linear, Module, Tensor, bpr_loss, concat
 from repro.nn.optim import Adam
 from repro.recsys.base import Recommender
+from repro.recsys.rows import RowStore, rows_property
 from repro.utils.rng import make_rng
 
 __all__ = ["NeuralCF"]
@@ -53,6 +54,10 @@ class _NCFNet(Module):
 class NeuralCF(Recommender):
     """History-pooled NCF: inductive for the user, blind to other users."""
 
+    #: Per-user profile pool cache, exactly ``dataset.n_users`` rows in a
+    #: growable :class:`~repro.recsys.rows.RowStore` (O(1) amortized fold-in).
+    _pooled = rows_property("_pooled_rows")
+
     def __init__(
         self,
         n_factors: int = 16,
@@ -73,7 +78,7 @@ class NeuralCF(Recommender):
         self._rng = make_rng(seed)
         self._net: _NCFNet | None = None
         self._optimizer: Adam | None = None
-        self._pooled: np.ndarray | None = None  # per-user profile pool cache
+        self._pooled_rows: RowStore | None = None
         # Fused first-layer tensor for batched scoring (see scores_batch).
         # It depends only on trained parameters — injections never touch item
         # weights — so it survives add_user and is invalidated on (re)fit.
@@ -289,7 +294,7 @@ class NeuralCF(Recommender):
 
     def append_sliced_user(self, profile: Sequence[int], user_state) -> int:
         local_id = self.dataset.add_user(profile)
-        self._pooled = np.vstack([self._pooled, user_state])
+        self._pooled_rows.append(user_state)
         return local_id
 
     # ------------------------------------------------------------------ online learning
@@ -323,7 +328,7 @@ class NeuralCF(Recommender):
         user_id = self.dataset.add_user(profile)
         q = self._net.item_emb.weight.data
         pooled = q[np.asarray(list(profile), dtype=np.int64)].mean(axis=0)
-        self._pooled = np.vstack([self._pooled, pooled])
+        self._pooled_rows.append(pooled)
         return user_id
 
     def snapshot(self):

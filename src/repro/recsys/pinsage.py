@@ -57,6 +57,7 @@ from repro.errors import ConfigurationError, NotFittedError
 from repro.nn import Embedding, Linear, Module, Tensor, bpr_loss, concat, no_grad
 from repro.nn.optim import Adam
 from repro.recsys.base import Recommender
+from repro.recsys.rows import RowStore, rows_property
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng
 
@@ -135,6 +136,11 @@ class PinSageRecommender(Recommender):
     #: PinSage as retrain-from-scratch only (explicit, per the base flag).
     supports_partial_fit = False
 
+    #: User representations, append-only: exactly ``dataset.n_users`` rows
+    #: in a growable :class:`~repro.recsys.rows.RowStore`, so ``add_user``
+    #: is O(1) amortized and ``restore`` truncates instead of copying.
+    _H = rows_property("_h_rows")
+
     def __init__(
         self,
         n_factors: int = 16,
@@ -164,7 +170,7 @@ class PinSageRecommender(Recommender):
         self._net: _PinSageNet | None = None
         self._optimizer: Adam | None = None
         # Inference caches (numpy, no autograd):
-        self._H: np.ndarray | None = None  # user representations, append-only
+        self._h_rows: RowStore | None = None
         self._item_h_sum: np.ndarray | None = None  # sum of h_u / sqrt(deg_u)
         self._item_h_plain: np.ndarray | None = None  # sum of h_u (for the MLP input)
         self._item_h_count: np.ndarray | None = None
@@ -327,9 +333,13 @@ class PinSageRecommender(Recommender):
         counts = self._item_h_count[item_ids]
         agg = self._item_h_sum[item_ids] / np.sqrt(1.0 + counts)[:, None]
         h_mean = self._item_h_plain[item_ids] / np.maximum(counts, 1.0)[:, None]
-        stacked = np.concatenate([w["q"][item_ids], h_mean], axis=1)
+        q_rows = w["q"][item_ids]
+        f = self.n_factors
+        stacked = np.empty((q_rows.shape[0], 2 * f), dtype=np.result_type(q_rows, h_mean))
+        stacked[:, :f] = q_rows  # [Q_v ; h_mean], filled in place
+        stacked[:, f:] = h_mean
         hidden = np.maximum(stacked @ w["wi1"] + w["bi1"], 0.0)
-        return w["q"][item_ids] + agg + hidden @ w["wi2"] + w["bi2"]
+        return q_rows + agg + hidden @ w["wi2"] + w["bi2"]
 
     def refresh_full(self) -> None:
         """Rebuild every inference cache from the current dataset.
@@ -345,11 +355,12 @@ class PinSageRecommender(Recommender):
             self._item_h_sum = np.zeros((dataset.n_items, self.n_factors))
             self._item_h_plain = np.zeros((dataset.n_items, self.n_factors))
             self._item_h_count = np.zeros(dataset.n_items)
+            users = self._H
             for user_id, profile in dataset.iter_profiles():
                 weight = 1.0 / np.sqrt(len(profile))
                 for item_id in profile:
-                    self._item_h_sum[item_id] += self._H[user_id] * weight
-                    self._item_h_plain[item_id] += self._H[user_id]
+                    self._item_h_sum[item_id] += users[user_id] * weight
+                    self._item_h_plain[item_id] += users[user_id]
                     self._item_h_count[item_id] += 1
             self._Z = self._item_representation_rows(np.arange(dataset.n_items))
 
@@ -379,7 +390,7 @@ class PinSageRecommender(Recommender):
         """Inject a user; fold their representation into affected items only."""
         user_id = self.dataset.add_user(profile)
         h = self.user_representation(profile)
-        self._H = np.vstack([self._H, h])
+        self._h_rows.append(h)
         weight = 1.0 / np.sqrt(len(profile))
         affected = np.unique(np.asarray(list(profile), dtype=np.int64))
         self._item_h_sum[affected] += h * weight
@@ -401,7 +412,7 @@ class PinSageRecommender(Recommender):
     def restore(self, snapshot: PinSageSnapshot) -> None:
         """Roll back to a snapshot (drops every user injected since)."""
         self._dataset = snapshot.dataset.copy()
-        self._H = self._H[: snapshot.n_users].copy()
+        self._h_rows.truncate(snapshot.n_users)
         self._item_h_sum = snapshot.item_h_sum.copy()
         self._item_h_plain = snapshot.item_h_plain.copy()
         self._item_h_count = snapshot.item_h_count.copy()

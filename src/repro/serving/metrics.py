@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["percentile_summary", "summarize_latencies"]
+__all__ = ["RECENT_SAMPLES", "percentile_summary", "push_recent", "summarize_latencies"]
 
 #: The tail percentiles serving reports quote by default.
 DEFAULT_PERCENTILES = (50, 95, 99)
+
+#: Per-request samples a long-running service keeps for its percentiles
+#: (and injection ids its bus keeps); the totals beside them stay exact.
+RECENT_SAMPLES = 4096
 
 
 def _key(template: str, percentile: float) -> str:
@@ -45,6 +49,20 @@ def percentile_summary(
         _key(key_format, p): float(point * scale)
         for p, point in zip(percentiles, points)
     }
+
+
+def push_recent(window: list, cursor: int, value) -> int:
+    """Keep ``value`` in a ring of the latest :data:`RECENT_SAMPLES` values.
+
+    Appends until the ring is full, then overwrites the oldest entry at
+    ``cursor``; returns the cursor for the next call.  The ring holds the
+    most recent samples in rotated order, which percentiles ignore.
+    """
+    if len(window) < RECENT_SAMPLES:
+        window.append(value)
+        return cursor
+    window[cursor] = value
+    return (cursor + 1) % RECENT_SAMPLES
 
 
 def summarize_latencies(values_s) -> dict[str, float]:

@@ -38,7 +38,7 @@ from repro.errors import (
 )
 from repro.serving.cache import TopKCache
 from repro.serving.engine import ENGINES
-from repro.serving.metrics import percentile_summary
+from repro.serving.metrics import percentile_summary, push_recent
 from repro.serving.rate_limit import UNLIMITED, QuotaPolicy, RateLimiter
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.recsys
@@ -110,10 +110,17 @@ class ServiceStats:
     waiting for queue space.  A shed request is *not* a quota denial;
     conflating them made "throttled attacker" and "overloaded platform"
     indistinguishable in reports.
+
+    Request accounting is O(1) per request and bounded in memory: the
+    totals (``n_requests``, ``total_wall_s``, ``n_users_served`` — the
+    batch-size sum — and ``max_batch_size``) are exact running values,
+    while ``wall_times``/``batch_sizes`` keep only the latest
+    :data:`~repro.serving.metrics.RECENT_SAMPLES` requests (a ring, in
+    rotated order) for the latency percentiles.
     """
 
     n_requests: int = 0  # guarded-by: _lock
-    n_users_served: int = 0  # guarded-by: _lock
+    n_users_served: int = 0  # guarded-by: _lock (exact batch-size sum)
     n_users_scored: int = 0  # guarded-by: _lock (users that hit the model: cache misses)
     n_injections: int = 0
     n_flagged_injections: int = 0
@@ -124,8 +131,11 @@ class ServiceStats:
     n_canary_users: int = 0  # guarded-by: _lock (users served by a staged canary model)
     n_shadow_users: int = 0  # guarded-by: _lock (users shadow-scored against a staged model)
     n_shadow_agree: int = 0  # guarded-by: _lock (shadow users whose staged list matched the served one)
-    wall_times: list[float] = field(default_factory=list)  # guarded-by: _lock
-    batch_sizes: list[int] = field(default_factory=list)  # guarded-by: _lock
+    total_wall_s: float = 0.0  # guarded-by: _lock (exact, every request)
+    max_batch_size: int = 0  # guarded-by: _lock (exact, every request)
+    wall_times: list[float] = field(default_factory=list)  # guarded-by: _lock (latest requests only)
+    batch_sizes: list[int] = field(default_factory=list)  # guarded-by: _lock (latest requests only)
+    _recent_cursor: int = 0  # guarded-by: _lock (next ring slot once the window is full)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -150,8 +160,11 @@ class ServiceStats:
             self.n_requests += 1
             self.n_users_served += n_users
             self.n_users_scored += n_scored
-            self.wall_times.append(elapsed)
-            self.batch_sizes.append(n_users)
+            self.total_wall_s += elapsed
+            self.max_batch_size = max(self.max_batch_size, n_users)
+            cursor = self._recent_cursor
+            push_recent(self.batch_sizes, cursor, n_users)
+            self._recent_cursor = push_recent(self.wall_times, cursor, elapsed)
 
     def record_rate_limited(self) -> None:
         """One admission denied by quota (query or injection)."""
@@ -197,7 +210,10 @@ class ServiceStats:
         """Uniform query-side cost summary (shared with QueryLog reporting)."""
         with self._lock:
             times = np.asarray(self.wall_times, dtype=np.float64)
-            sizes = np.asarray(self.batch_sizes, dtype=np.float64)
+            n_requests = self.n_requests
+            total_wall_s = self.total_wall_s
+            batch_size_sum = self.n_users_served
+            max_batch_size = self.max_batch_size
             out: dict[str, float] = {
                 "n_requests": float(self.n_requests),
                 "n_users_served": float(self.n_users_served),
@@ -212,14 +228,14 @@ class ServiceStats:
                 out["n_canary_users"] = float(self.n_canary_users)
                 out["n_shadow_users"] = float(self.n_shadow_users)
                 out["n_shadow_agree"] = float(self.n_shadow_agree)
-        if times.size:
-            out["total_wall_s"] = float(times.sum())
-            out["mean_wall_ms"] = float(times.mean() * 1e3)
+        if n_requests:
+            out["total_wall_s"] = float(total_wall_s)
+            out["mean_wall_ms"] = float(total_wall_s / n_requests * 1e3)
             out.update(
                 percentile_summary(times, percentiles=(50, 95), key_format="p{p}_wall_ms")
             )
-            out["mean_batch_size"] = float(sizes.mean())
-            out["max_batch_size"] = float(sizes.max())
+            out["mean_batch_size"] = float(batch_size_sum / n_requests)
+            out["max_batch_size"] = float(max_batch_size)
         return out
 
     def reset(self) -> None:
@@ -236,8 +252,11 @@ class ServiceStats:
             self.n_canary_users = 0
             self.n_shadow_users = 0
             self.n_shadow_agree = 0
+            self.total_wall_s = 0.0
+            self.max_batch_size = 0
             self.wall_times = []
             self.batch_sizes = []
+            self._recent_cursor = 0
 
 
 def resolve_slice(

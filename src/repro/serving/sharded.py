@@ -114,6 +114,7 @@ from repro.serving import replica as replica_proto
 from repro.serving import shared_state
 from repro.serving.cache import CacheStats, TopKCache
 from repro.serving.engine import ExecutionEngine, ReadWriteLock, make_engine
+from repro.serving.metrics import push_recent
 from repro.serving.rate_limit import UNLIMITED, RateLimiter
 from repro.serving.replica import CacheSnapshot, InjectionRecord, ReplicationEvent
 from repro.serving.rollout import ModelVersionRegistry, RolloutController, RolloutGuard
@@ -320,13 +321,17 @@ class InvalidationBus:
     ``events``/``n_deliveries`` track *injection* fan-out so tests and
     reports can assert it; ``n_resyncs`` counts restore-driven resync
     broadcasts separately (episode control, not episode-observable
-    traffic).
+    traffic).  ``events`` keeps only the latest
+    :data:`~repro.serving.metrics.RECENT_SAMPLES` injected user ids (a
+    ring, in rotated order once full); ``n_events`` counts every one.
     """
 
     def __init__(self) -> None:
         # repro-lint: disable=RL004 -- subscriptions persist across episode resets by design
         self._subscribers: list[Callable[[ReplicationEvent], None]] = []
-        self.events: list[int] = []  # user ids of published injections
+        self.events: list[int] = []  # user ids of the latest published injections
+        self.n_events = 0  # every published injection
+        self._events_cursor = 0  # next ring slot once ``events`` is full
         self.n_deliveries = 0
         self.n_resyncs = 0
 
@@ -335,11 +340,10 @@ class InvalidationBus:
 
     def publish(self, event: ReplicationEvent) -> None:
         if event.kind == "inject":
-            self.events.append(int(event.user_id))
+            self._note_injected(event.user_id)
         elif event.kind == "inject_batch":
-            self.events.extend(
-                int(record.user_id) for record in (event.records or ())
-            )
+            for record in event.records or ():
+                self._note_injected(record.user_id)
         else:
             self.n_resyncs += 1
         for callback in self._subscribers:
@@ -349,6 +353,10 @@ class InvalidationBus:
             elif event.kind == "inject_batch":
                 self.n_deliveries += len(event.records or ())
 
+    def _note_injected(self, user_id: int) -> None:
+        self.n_events += 1
+        self._events_cursor = push_recent(self.events, self._events_cursor, int(user_id))
+
     def reset(self) -> None:
         """Forget delivered history (episode boundary; subscriptions persist).
 
@@ -356,6 +364,8 @@ class InvalidationBus:
         that no longer exist, so fan-out reports must not count them.
         """
         self.events.clear()
+        self.n_events = 0
+        self._events_cursor = 0
         self.n_deliveries = 0
         self.n_resyncs = 0
 
@@ -455,7 +465,7 @@ class _WorkerShard:
     @property
     def busy_s(self) -> float:
         """Total scoring/cache time this worker spent (simulated makespan input)."""
-        return float(sum(self.stats.wall_times))
+        return float(self.stats.total_wall_s)
 
     def counters(self) -> dict[str, float]:
         """Monotonic counters; traffic replays diff these for per-run rows."""

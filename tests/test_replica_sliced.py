@@ -10,6 +10,7 @@ shared-memory segment surviving service close.
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from repro.data import InteractionDataset
 from repro.errors import ConfigurationError, StaleReplicaError
 from repro.recsys import ItemKNN, MatrixFactorization, PopularityRecommender
-from repro.serving import ServingConfig, ShardedRecommendationService
+from repro.serving import RecommendationService, ServingConfig, ShardedRecommendationService
 from repro.serving import replica as replica_proto
 from repro.serving import shared_state
 from repro.serving.replica import InjectionRecord, ReplicationEvent
@@ -359,6 +360,55 @@ class TestSlicedServiceIntegration:
             after = service.query(list(range(6)), k=5, use_cache=False)
             for a, b in zip(baseline, after):
                 np.testing.assert_array_equal(a, b)
+
+    def test_signups_across_row_growths_match_a_single_service(self):
+        """Sign-ups that cross several row-buffer growths on every replica,
+        a restore, then more sign-ups: the sliced fleet serves exactly
+        what one service over the same model serves."""
+        model = _mf()
+        oracle = RecommendationService(copy.deepcopy(model), config=ServingConfig(cache_capacity=32))
+        rng = make_rng(71)
+        signups = (
+            [int(v) for v in rng.choice(N_ITEMS, size=int(rng.integers(2, 6)), replace=False)]
+            for _ in range(400)
+        )
+
+        def local_counts(service):
+            probes = service._engine.broadcast(replica_proto.probe_memory)
+            return [probe["n_local_users"] for probe in probes]
+
+        def sign_up(service, count):
+            for _ in range(count):
+                profile = next(signups)
+                assert service.inject(profile) == oracle.inject(profile)
+
+        def assert_serves_like_the_oracle(service):
+            users = list(range(oracle.n_users))
+            for served, expected in zip(service.query(users, k=5), oracle.query(users, k=5)):
+                np.testing.assert_array_equal(served, expected)
+            for probe in service.replica_probe():
+                assert probe["n_users"] == service.n_users == oracle.n_users
+                assert probe["epoch"] == service.epoch
+
+        service = _service(model)
+        segments = [spec.name for _, spec in service._shared_store.handle().segments]
+        try:
+            start = local_counts(service)
+            base, oracle_base = service.snapshot(), oracle.snapshot()
+            sign_up(service, 160)
+            # Every replica's rows start at exact size and double when
+            # full, so more than 4x the start means three growths or more.
+            assert all(after > 4 * before for before, after in zip(start, local_counts(service)))
+            assert_serves_like_the_oracle(service)
+            service.restore(base)
+            oracle.restore(oracle_base)
+            assert local_counts(service) == start
+            assert_serves_like_the_oracle(service)
+            sign_up(service, 60)
+            assert_serves_like_the_oracle(service)
+        finally:
+            service.close()
+        assert not any(shared_state.segment_exists(name) for name in segments)
 
     def test_close_unlinks_every_segment(self):
         service = _service(_mf())

@@ -18,8 +18,10 @@ from repro.serving import (
     QuotaPolicy,
     RateLimiter,
     RecommendationService,
+    ServiceStats,
     ServingConfig,
 )
+from repro.serving.metrics import RECENT_SAMPLES
 
 
 def _tiny():
@@ -73,6 +75,37 @@ class TestQueryPath:
         summary = service.stats.summary()
         assert summary["mean_batch_size"] == 1.5
         assert summary["p95_wall_ms"] >= 0.0
+
+
+class TestBoundedStats:
+    """A long-running service keeps exact totals and a bounded window."""
+
+    def test_window_is_bounded_and_totals_stay_exact(self):
+        stats = ServiceStats()
+        n = 200_000
+        # Dyadic latencies: every partial sum is exact in float64.
+        elapsed = [i * 2.0**-20 for i in range(n)]
+        sizes = [i % 37 + 1 for i in range(n)]
+        for size, seconds in zip(sizes, elapsed):
+            stats.record_request(size, size, seconds)
+        assert len(stats.wall_times) == len(stats.batch_sizes) == RECENT_SAMPLES
+        assert sorted(stats.wall_times) == elapsed[-RECENT_SAMPLES:]
+        assert sorted(stats.batch_sizes) == sorted(sizes[-RECENT_SAMPLES:])
+        assert stats.n_requests == n
+        assert stats.n_users_served == sum(sizes)
+        assert stats.total_wall_s == sum(elapsed)
+        assert stats.max_batch_size == 37
+        summary = stats.summary()
+        assert summary["total_wall_s"] == sum(elapsed)
+        assert summary["mean_wall_ms"] == sum(elapsed) / n * 1e3
+        assert summary["mean_batch_size"] == sum(sizes) / n
+        assert summary["max_batch_size"] == 37.0
+        window = np.asarray(elapsed[-RECENT_SAMPLES:])
+        assert summary["p50_wall_ms"] == pytest.approx(np.percentile(window, 50) * 1e3)
+        stats.reset()
+        assert stats.summary() == ServiceStats().summary()
+        stats.record_request(2, 1, 0.5)
+        assert stats.wall_times == [0.5] and stats.batch_sizes == [2]
 
 
 class TestDenialSplit:

@@ -22,6 +22,9 @@ from repro.serving import (
     ServingConfig,
     ShardedRecommendationService,
 )
+from repro.serving.metrics import RECENT_SAMPLES
+from repro.serving.replica import InjectionRecord, ReplicationEvent
+from repro.serving.sharded import InvalidationBus
 from repro.utils.rng import make_rng
 
 N_USERS = 36
@@ -187,3 +190,22 @@ class TestEndToEndAttackParity:
         assert final == rewards[-1]
         assert final > 0.0  # the promotion attack moved the target item
         assert measured == final  # TTL horizon passed: feedback caught up
+
+
+def test_bus_keeps_a_bounded_window_next_to_an_exact_count():
+    bus = InvalidationBus()
+    delivered = []
+    bus.subscribe(delivered.append)
+    n = 3 * RECENT_SAMPLES + 5
+    for user_id in range(n - 10):
+        bus.publish(ReplicationEvent(kind="inject", epoch=user_id, user_id=user_id))
+    burst = tuple(
+        InjectionRecord(user_id=u, profile=(0,), owner_shard=0) for u in range(n - 10, n)
+    )
+    bus.publish(ReplicationEvent(kind="inject_batch", epoch=n, records=burst))
+    assert bus.n_events == n and bus.n_deliveries == n
+    assert len(bus.events) == RECENT_SAMPLES
+    assert sorted(bus.events) == list(range(n - RECENT_SAMPLES, n))
+    assert len(delivered) == n - 9
+    bus.reset()
+    assert bus.events == [] and bus.n_events == 0
