@@ -6,9 +6,11 @@ attacks against snapshots of the same platforms, mirroring how the paper
 evaluates all methods against one fixed trained recommender.
 
 ``report`` prints paper-style tables straight to the terminal (bypassing
-pytest capture) and appends them to ``benchmarks/results/report.txt`` so
+pytest capture) and writes them to ``benchmarks/results/report.txt`` so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures
-both the tables and pytest-benchmark's timing summary.
+both the tables and pytest-benchmark's timing summary.  Each session
+regenerates the file: its first table truncates it, later ones append,
+so the file holds exactly the tables of the last session that wrote any.
 """
 
 from __future__ import annotations
@@ -34,15 +36,26 @@ def prep_ml20m():
     return prepare_experiment(ML20M_NF)
 
 
+@pytest.fixture(scope="session")
+def report_file():
+    """This session's ``report.txt`` writes: the first truncates, later ones append."""
+    modes = iter(("w",))
+
+    def _write(text: str) -> None:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        with open(RESULTS_DIR / "report.txt", next(modes, "a")) as handle:
+            handle.write(text + "\n\n")
+
+    return _write
+
+
 @pytest.fixture
-def report(capsys):
+def report(capsys, report_file):
     """Print a result block to the real terminal and persist it."""
 
     def _report(text: str) -> None:
         with capsys.disabled():
             print("\n" + text, flush=True)
-        RESULTS_DIR.mkdir(exist_ok=True)
-        with open(RESULTS_DIR / "report.txt", "a") as handle:
-            handle.write(text + "\n\n")
+        report_file(text)
 
     return _report

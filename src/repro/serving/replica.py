@@ -2,51 +2,55 @@
 
 A process-engine worker shares no memory with the coordinator, so the
 shard it serves is a **replica**: the model, the shard's
-:class:`~repro.serving.cache.TopKCache`, its
-:class:`~repro.serving.rate_limit.RateLimiter` policies, and its
+:class:`~repro.serving.cache.TopKCache` and its
 :class:`~repro.serving.service.ServiceStats` are serialized into the
 worker process at pool start (:func:`install_replica`) and kept in
 lockstep afterwards through explicit replication messages:
 
-* every injection is an epoch-stamped :class:`ReplicationEvent` — the
-  worker applies the same ``add_user`` the coordinator applied, installs
-  the coordinator's pre-warmed scoring caches instead of rebuilding them
-  (:meth:`~repro.recsys.base.Recommender.apply_prewarm`), advances its
-  staleness clock, and acknowledges the new epoch;
+* every injection — one sign-up or a whole burst — is one epoch-stamped
+  ``inject_batch`` :class:`ReplicationEvent` carrying one
+  :class:`InjectionRecord` per profile: a full replica applies the same
+  ``add_user`` calls the coordinator applied and installs the
+  coordinator's pre-warmed scoring caches instead of rebuilding them
+  (:meth:`~repro.recsys.base.Recommender.apply_prewarm`), a sliced
+  replica appends only the users its shard owns; either way it advances
+  its staleness clock and acknowledges the new epoch;
 * every episode restore is a ``resync`` event carrying the rolled-back
-  model, which replaces the replica wholesale and resets serving state;
+  model (or, sliced, a :func:`resync_sliced` call carrying the shard's
+  rolled-back user slice), which replaces the replica and resets its
+  serving state;
 * every query slice carries the coordinator's current epoch, and a
   worker whose replica lags (or leads) raises
   :class:`~repro.errors.StaleReplicaError` instead of silently serving a
   stale model version — the detectability guarantee the replication
   property tests pin.
 
-The functions in this module are the only code that runs inside worker
-processes.  They are module-level (picklable by reference), take only
-picklable arguments, and return small result records
+Worker processes are entered only through the module-level functions.
+They take only picklable arguments and return small result records
 (:class:`SliceResult` / :class:`ReplicaAck`) that the coordinator folds
-into its per-shard mirrors so reports and conformance counters are
+into its per-shard mirrors, so reports and conformance counters are
 engine-independent.
 
-:func:`resolve_slice` — the cache-lookup/batch-score/store step — is
-shared with the in-memory engines' resolution path, so a slice resolves
-through byte-identical logic whether the shard lives in the coordinator
-process or in a worker replica.
+:class:`ShardServer` is how a shard serves a slice — the cache pass, the
+batched scoring, the shard's request stats, and the canary/shadow
+handling of a staged rollout candidate.  The coordinator's in-process
+shards and the worker replicas are both ``ShardServer`` instances, so a
+slice is served by the same code wherever the shard lives.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, StaleReplicaError
 from repro.serving import shared_state
 from repro.serving.cache import TopKCache
-from repro.serving.rate_limit import RateLimiter
 from repro.serving.service import ServiceStats, ServingConfig, resolve_slice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,7 +61,7 @@ __all__ = [
     "InjectionRecord",
     "SliceResult",
     "ReplicaAck",
-    "resolve_slice",
+    "ShardServer",
     "install_replica",
     "install_replica_sliced",
     "query_slice",
@@ -68,6 +72,10 @@ __all__ = [
     "probe_replica",
     "probe_memory",
 ]
+
+#: The module-level entry points below run in worker processes, so
+#: repro-lint RL003 checks every class they exchange for picklability.
+__process_boundary__ = True
 
 
 @dataclass(frozen=True)
@@ -93,25 +101,24 @@ class InjectionRecord:
 class ReplicationEvent:
     """One epoch-stamped state change broadcast to every shard.
 
-    ``kind`` is ``"inject"`` (a profile landed: ``user_id``/``profile``
-    are set, ``prewarm`` carries the coordinator's freshly rebuilt lazy
-    scoring caches), ``"inject_batch"`` (``records`` carries one
-    :class:`InjectionRecord` per landed profile — a whole burst crosses
-    the process boundary in one round trip), or ``"resync"`` (an episode
-    restore: ``model_blob`` is the pickled rolled-back model that
-    replaces each replica wholesale).  ``epoch`` is the model version
-    the event produces; a replica must be at exactly ``epoch - 1`` to
-    apply an ``inject`` (``epoch - len(records)`` for a batch) and
-    acknowledges ``epoch`` once applied.
+    ``kind`` is ``"inject_batch"`` or ``"resync"``.  An ``inject_batch``
+    carries one :class:`InjectionRecord` per landed profile in
+    ``records`` (a single sign-up is a one-record batch, so one round
+    trip covers a whole burst) and, for full replicas, ``prewarm``: the
+    coordinator's lazy scoring caches, rebuilt once after the last
+    profile.  A ``resync`` is an episode restore: ``model_blob`` is the
+    pickled rolled-back model that replaces each full replica wholesale
+    (sliced replicas resync through :func:`resync_sliced`, and the event
+    only informs the bus).  ``epoch`` is the model version the event
+    produces; a replica must be at exactly ``epoch - len(records)`` to
+    apply a batch and acknowledges ``epoch`` once applied.
     """
 
     kind: str
     epoch: int
-    user_id: int | None = None
-    profile: tuple[int, ...] | None = None
+    records: tuple[InjectionRecord, ...] = ()
     prewarm: object = None
     model_blob: bytes | None = None
-    records: tuple[InjectionRecord, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -134,30 +141,34 @@ class CacheSnapshot:
     n_entries: int = 0
 
 
-@dataclass(frozen=True)
+# Not frozen, unlike the other records: one is built per slice on the
+# query path, and a frozen dataclass's __init__ costs ~5x a plain one's.
+@dataclass
 class SliceResult:
-    """Outcome of one query slice resolved inside a worker replica.
+    """Outcome of one query slice served by a :class:`ShardServer`.
 
-    The trailing rollout fields are only nonzero while a version is
-    staged on this replica: ``canary_users`` counts users this slice
-    served *from the staged model* (the replica then recorded no stats
-    and touched no cache — the coordinator mirrors nothing either);
+    The rollout fields are only nonzero while a version is staged:
+    ``canary_users`` counts users this slice served *from the staged
+    model* (the shard then recorded no stats and touched no cache);
     ``shadow_users``/``shadow_agree`` carry the shadow comparison for a
     slice that served the active model; ``rollout_error`` reports a
     staged-model failure (the slice fell back to the active model and
-    the coordinator must roll the window back).
+    the coordinator must roll the window back).  A worker replica also
+    stamps its ``epoch``, global user count and cache counters so the
+    coordinator can verify and mirror them; in-process shards leave the
+    defaults.
     """
 
     n_scored: int
     results: list[np.ndarray]
     elapsed: float
-    epoch: int
-    model_n_users: int
-    cache: CacheSnapshot | None
     canary_users: int = 0
     shadow_users: int = 0
     shadow_agree: int = 0
     rollout_error: str | None = None
+    epoch: int = 0
+    model_n_users: int = 0
+    cache: CacheSnapshot | None = None
 
 
 @dataclass(frozen=True)
@@ -170,11 +181,103 @@ class ReplicaAck:
     cache: CacheSnapshot | None
 
 
-# resolve_slice — the single definition of slice semantics — lives in
-# repro.serving.service (the single service's query path routes through
-# it too, and service cannot import from here without a cycle).  It is
-# re-exported so worker-process call sites keep importing it from the
-# replica protocol module.
+class ShardServer:
+    """One shard's serving state and the one way a shard serves a slice.
+
+    Holds the shard's result cache and request stats.  The coordinator's
+    in-process shards (:class:`~repro.serving.sharded._WorkerShard`) and
+    the process engine's worker replicas are both ``ShardServer``
+    instances, so :meth:`serve_slice` defines slice serving — cache pass,
+    scoring, stats, canary and shadow handling — once for every engine.
+    """
+
+    #: Held around the cache pass and the stats record.  A worker replica
+    #: serves from a single thread, so the default takes nothing;
+    #: in-process shards, shared by concurrent engine threads, set a
+    #: real lock.
+    lock = nullcontext()
+
+    def __init__(self, index: int, config: ServingConfig, n_items: int | None) -> None:
+        self.index = index
+        self.cache = (
+            TopKCache(
+                capacity=config.cache_capacity,
+                ttl_injections=config.ttl_injections,
+                n_items=n_items,
+            )
+            if config.cache_capacity > 0
+            else None
+        )
+        self.stats = ServiceStats()
+
+    def serve_slice(
+        self,
+        model,
+        users: Sequence[int] | np.ndarray,
+        k: int,
+        exclude_seen: bool,
+        use_cache: bool,
+        staged: "Recommender | None" = None,
+        role: str | None = None,
+        clock: Callable[[], float] = time.perf_counter,
+        profiler=None,
+    ) -> SliceResult:
+        """Serve one slice through ``model``, or the staged candidate.
+
+        ``role`` is this shard's part in an open rollout window (None
+        outside one).  The **canary** serves ``staged`` side-effect-free
+        — no cache, no stats — so a rollback leaves the shard's durable
+        state exactly as if the window never opened; a staged model that
+        raises degrades the slice to ``model`` and reports the failure.
+        A **shadow** serves ``model`` normally, then scores ``staged`` on
+        the side and counts exact top-k agreement.  ``elapsed`` covers
+        only the resolution (read from ``clock`` after the lock is held),
+        so busy time stays pure compute.  ``profiler`` (a
+        :class:`~repro.serving.profiling.StageTimers`, in-process only)
+        splits the active resolution into cache and scoring stages.
+        """
+        n_users = len(users)
+        error = None
+        if role == "canary":
+            t0 = clock()
+            try:
+                results = staged.top_k_batch(users, k, exclude_seen=exclude_seen)
+            except StaleReplicaError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - any staged-model fault rolls back
+                error = f"canary shard {self.index} raised {type(exc).__name__}: {exc}"
+            else:
+                return SliceResult(n_users, results, clock() - t0, canary_users=n_users)
+        with self.lock:
+            t0 = clock()
+            n_scored, results = resolve_slice(
+                model, self.cache, users, k, exclude_seen, use_cache, profiler=profiler
+            )
+            elapsed = clock() - t0
+            self.stats.record_request(n_users, n_scored, elapsed)
+        if role != "shadow":
+            return SliceResult(n_scored, results, elapsed, rollout_error=error)
+        try:
+            staged_lists = staged.top_k_batch(users, k, exclude_seen=exclude_seen)
+        except StaleReplicaError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - any staged-model fault rolls back
+            error = f"shadow scoring on shard {self.index} raised {type(exc).__name__}: {exc}"
+            return SliceResult(n_scored, results, elapsed, rollout_error=error)
+        n_agree = sum(
+            int(np.array_equal(served, candidate))
+            for served, candidate in zip(results, staged_lists)
+        )
+        return SliceResult(
+            n_scored, results, elapsed, shadow_users=n_users, shadow_agree=n_agree
+        )
+
+    def reset(self) -> None:
+        """Empty the cache and zero its counters and the request stats."""
+        if self.cache is not None:
+            self.cache.flush()
+            self.cache.stats.reset()
+        self.stats.reset()
 
 
 class _GlobalView:
@@ -210,7 +313,7 @@ class _GlobalView:
         return self._model.top_k_batch(local, k, exclude_seen=exclude_seen)
 
 
-class _ReplicaState:
+class _ReplicaState(ShardServer):
     """Everything one worker process holds for its shard."""
 
     def __init__(
@@ -221,35 +324,16 @@ class _ReplicaState:
         epoch: int,
         shard_latency_s: float,
     ) -> None:
-        self.shard_index = shard_index
+        super().__init__(shard_index, config, model.dataset.n_items)
         self.model = model
-        self.config = config
         self.epoch = epoch
         self.shard_latency_s = shard_latency_s
         self.seq = 0  # state-change counter; see CacheSnapshot.seq
-        self.cache = (
-            TopKCache(
-                capacity=config.cache_capacity,
-                ttl_injections=config.ttl_injections,
-                n_items=model.dataset.n_items,
-            )
-            if config.cache_capacity > 0
-            else None
-        )
-        # Replicated alongside the cache so the worker owns the complete
-        # shard serving state; admission itself stays at the coordinator
-        # front door (a client's admissions must serialize *before*
-        # fan-out), so these windows see no traffic in this deployment.
-        self.limiter = RateLimiter(
-            default_policy=config.default_policy,
-            per_client=dict(config.client_policies),
-        )
-        self.stats = ServiceStats()
         # Sliced-mode state (see install_replica_sliced): the model above
         # holds only this shard's user slice, addressed through a
         # global→local id map; the item side is attached shared memory.
         self.mode = "full"
-        self.serving_model: object = model  # what resolve_slice scores with
+        self.serving_model: object = model  # what serve_slice scores with
         self.global_to_local: dict[int, int] | None = None
         self.n_users_global: int | None = None
         self.attached: shared_state.AttachedSharedState | None = None
@@ -272,6 +356,14 @@ class _ReplicaState:
             return int(self.n_users_global)
         return self.model.dataset.n_users
 
+    def expect_epoch(self, expected: int, action: str) -> None:
+        """Refuse a message stamped for another model version."""
+        if self.epoch != expected:
+            raise StaleReplicaError(
+                f"shard {self.index} replica is at epoch {self.epoch}, "
+                f"coordinator {action} {expected}"
+            )
+
     def enter_sliced(
         self,
         model: "Recommender",
@@ -286,6 +378,52 @@ class _ReplicaState:
         }
         self.serving_model = _GlobalView(model, self.global_to_local)
         self.n_users_global = int(n_users_global)
+
+    def apply_injections(self, event: ReplicationEvent) -> None:
+        """Apply one injection burst: one event, N users, one ack.
+
+        Each record must carry the next global user id.  A full replica
+        replays ``add_user`` for every record, then installs the
+        post-burst pre-warm payload once; a sliced replica appends only
+        the users its shard owns (installing the coordinator's shipped
+        per-user state) and advances the global user count for every
+        record.
+        """
+        records = event.records
+        if event.epoch != self.epoch + len(records):
+            raise StaleReplicaError(
+                f"shard {self.index} replica at epoch {self.epoch} received "
+                f"out-of-order injection batch ending at epoch {event.epoch} "
+                f"({len(records)} records)"
+            )
+        for record in records:
+            expected = self.model_n_users()
+            if record.user_id != expected:
+                raise StaleReplicaError(
+                    f"shard {self.index} replica expected user id {expected} "
+                    f"next, coordinator recorded {record.user_id}"
+                )
+            if self.mode == "full":
+                self.model.add_user(list(record.profile))
+            else:
+                if record.owner_shard == self.index:
+                    self.global_to_local[record.user_id] = self.model.append_sliced_user(
+                        list(record.profile), record.user_state
+                    )
+                self.n_users_global += 1
+            if self.cache is not None:
+                self.cache.note_injection()
+        if self.mode == "full":
+            self.model.apply_prewarm(event.prewarm)
+        self.epoch = event.epoch
+
+    def resync(self, epoch: int) -> ReplicaAck:
+        """Serve the just-swapped-in model from a clean state at ``epoch``."""
+        self.reset()
+        self.staged_model = None
+        self.rollout_role = None
+        self.epoch = epoch
+        return self.ack()
 
     def cache_snapshot(self) -> CacheSnapshot | None:
         if self.cache is None:
@@ -302,8 +440,10 @@ class _ReplicaState:
         )
 
     def ack(self) -> ReplicaAck:
+        """Acknowledge a state change (bumps ``seq``; see CacheSnapshot)."""
+        self.seq += 1
         return ReplicaAck(
-            shard_index=self.shard_index,
+            shard_index=self.index,
             epoch=self.epoch,
             model_n_users=self.model_n_users(),
             cache=self.cache_snapshot(),
@@ -385,175 +525,48 @@ def query_slice(
     exclude_seen: bool,
     use_cache: bool,
 ) -> SliceResult:
-    """Resolve one slice against the replica at ``expected_epoch``.
+    """Serve one slice from the replica at ``expected_epoch``.
 
-    The modelled shard-worker RPC latency is slept before the timed
-    region and the busy clock covers only resolution, matching the
-    in-memory engines' accounting (busy time stays pure compute).
+    The modelled shard-worker RPC latency is slept before
+    :meth:`ShardServer.serve_slice`, whose busy clock covers only
+    resolution, matching the in-memory engines' accounting.  A clean
+    canary slice changes no replica state, so it leaves ``seq`` alone.
     """
     state = _require_replica()
-    if state.epoch != expected_epoch:
-        raise StaleReplicaError(
-            f"shard {state.shard_index} replica is at epoch {state.epoch}, "
-            f"coordinator expected {expected_epoch}"
-        )
+    state.expect_epoch(expected_epoch, "expected epoch")
     if state.shard_latency_s > 0.0:
         time.sleep(state.shard_latency_s)
-    rollout_error: str | None = None
-    if state.staged_model is not None and state.rollout_role == "canary":
-        # Canary: serve the staged model, side-effect-free — no cache,
-        # no stats, no seq bump — so a rollback leaves the shard's
-        # durable state exactly as if the window never opened.  A staged
-        # model that raises degrades the slice to the active model below
-        # and reports the failure for the coordinator to act on.
-        t0 = time.perf_counter()
-        try:
-            n_scored, results = resolve_slice(
-                state.staged_model, None, users, k, exclude_seen, False
-            )
-        except StaleReplicaError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any staged-model fault rolls back
-            rollout_error = f"{type(exc).__name__}: {exc}"
-        else:
-            elapsed = time.perf_counter() - t0
-            return SliceResult(
-                n_scored=n_scored,
-                results=results,
-                elapsed=elapsed,
-                epoch=state.epoch,
-                model_n_users=state.model_n_users(),
-                cache=state.cache_snapshot(),
-                canary_users=len(users),
-            )
-    t0 = time.perf_counter()
-    n_scored, results = resolve_slice(
-        state.serving_model, state.cache, users, k, exclude_seen, use_cache
+    result = state.serve_slice(
+        state.serving_model,
+        users,
+        k,
+        exclude_seen,
+        use_cache,
+        state.staged_model,
+        state.rollout_role,
     )
-    elapsed = time.perf_counter() - t0
-    shadow_users = 0
-    shadow_agree = 0
-    if (
-        rollout_error is None
-        and state.staged_model is not None
-        and state.rollout_role == "shadow"
-    ):
-        # Shadow: the active model's lists were served above; score the
-        # staged model on the side and count exact top-k agreement.
-        try:
-            _, staged_lists = resolve_slice(
-                state.staged_model, None, users, k, exclude_seen, False
-            )
-        except StaleReplicaError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any staged-model fault rolls back
-            rollout_error = f"{type(exc).__name__}: {exc}"
-        else:
-            shadow_users = len(users)
-            shadow_agree = sum(
-                int(np.array_equal(served, staged))
-                for served, staged in zip(results, staged_lists)
-            )
-    state.stats.record_request(len(users), n_scored, elapsed)
-    state.seq += 1
-    return SliceResult(
-        n_scored=n_scored,
-        results=results,
-        elapsed=elapsed,
+    if not result.canary_users:
+        state.seq += 1
+    return replace(
+        result,
         epoch=state.epoch,
         model_n_users=state.model_n_users(),
         cache=state.cache_snapshot(),
-        shadow_users=shadow_users,
-        shadow_agree=shadow_agree,
-        rollout_error=rollout_error,
     )
-
-
-def _apply_inject_batch(state: _ReplicaState, event: ReplicationEvent) -> None:
-    """Apply a coalesced injection burst: one event, N users, one ack.
-
-    A sliced replica appends only the users its shard owns (installing
-    the coordinator's shipped per-user state) and advances the global
-    user count and staleness clock for every record; a full replica
-    replays every ``add_user`` then installs the post-burst pre-warm
-    payload once.
-    """
-    records = event.records if event.records is not None else ()
-    if event.epoch != state.epoch + len(records):
-        raise StaleReplicaError(
-            f"shard {state.shard_index} replica at epoch {state.epoch} received "
-            f"out-of-order injection batch ending at epoch {event.epoch} "
-            f"({len(records)} records)"
-        )
-    if state.mode == "sliced":
-        for record in records:
-            if record.user_id != state.n_users_global:
-                raise StaleReplicaError(
-                    f"shard {state.shard_index} replica expected user id "
-                    f"{state.n_users_global} next, coordinator recorded {record.user_id}"
-                )
-            if record.owner_shard == state.shard_index:
-                local_id = state.model.append_sliced_user(
-                    list(record.profile), record.user_state
-                )
-                state.global_to_local[record.user_id] = local_id
-            state.n_users_global += 1
-            if state.cache is not None:
-                state.cache.note_injection()
-    else:
-        for record in records:
-            user_id = state.model.add_user(list(record.profile))
-            if user_id != record.user_id:
-                raise StaleReplicaError(
-                    f"shard {state.shard_index} replica assigned user id {user_id} "
-                    f"to an injection the coordinator recorded as {record.user_id}"
-                )
-            if state.cache is not None:
-                state.cache.note_injection()
-        state.model.apply_prewarm(event.prewarm)
-    state.epoch = event.epoch
 
 
 def apply_event(event: ReplicationEvent) -> ReplicaAck:
     """Apply one replication event to this worker's replica."""
     state = _require_replica()
-    if event.kind == "inject":
-        if event.epoch != state.epoch + 1:
-            raise StaleReplicaError(
-                f"shard {state.shard_index} replica at epoch {state.epoch} received "
-                f"out-of-order injection epoch {event.epoch}"
-            )
-        user_id = state.model.add_user(list(event.profile))
-        if user_id != event.user_id:
-            raise StaleReplicaError(
-                f"shard {state.shard_index} replica assigned user id {user_id} "
-                f"to an injection the coordinator recorded as {event.user_id}"
-            )
-        state.model.apply_prewarm(event.prewarm)
-        if state.cache is not None:
-            state.cache.note_injection()
-        state.epoch = event.epoch
-    elif event.kind == "inject_batch":
-        _apply_inject_batch(state, event)
-    elif event.kind == "resync":
+    if event.kind == "inject_batch":
+        state.apply_injections(event)
+        return state.ack()
+    if event.kind == "resync":
         state.model = pickle.loads(event.model_blob)
         state.mode = "full"
         state.serving_model = state.model
-        state.staged_model = None
-        state.rollout_role = None
-        if state.cache is not None:
-            # Entries clear and the version counter rewinds with them
-            # (flush defines version as injections since construction/
-            # flush), matching the coordinator-side shard reset.
-            state.cache.flush()
-            state.cache.stats.reset()
-        state.limiter.reset()
-        state.stats.reset()
-        state.epoch = event.epoch
-    else:
-        raise ConfigurationError(f"unknown replication event kind {event.kind!r}")
-    state.seq += 1
-    return state.ack()
+        return state.resync(event.epoch)
+    raise ConfigurationError(f"unknown replication event kind {event.kind!r}")
 
 
 def resync_sliced(
@@ -575,16 +588,7 @@ def resync_sliced(
     model = pickle.loads(slice_blob)
     model.attach_shared_item_state(state.attached.views)
     state.enter_sliced(model, np.asarray(user_ids, dtype=np.int64), n_users_global)
-    state.staged_model = None
-    state.rollout_role = None
-    if state.cache is not None:
-        state.cache.flush()
-        state.cache.stats.reset()
-    state.limiter.reset()
-    state.stats.reset()
-    state.epoch = epoch
-    state.seq += 1
-    return state.ack()
+    return state.resync(epoch)
 
 
 def stage_rollout_replica(model_blob: bytes, role: str, expected_epoch: int) -> ReplicaAck:
@@ -597,16 +601,11 @@ def stage_rollout_replica(model_blob: bytes, role: str, expected_epoch: int) -> 
     not advance the epoch: the replica's durable state is untouched.
     """
     state = _require_replica()
-    if state.epoch != expected_epoch:
-        raise StaleReplicaError(
-            f"shard {state.shard_index} replica is at epoch {state.epoch}, "
-            f"coordinator staged a rollout at epoch {expected_epoch}"
-        )
+    state.expect_epoch(expected_epoch, "staged a rollout at epoch")
     if role not in ("canary", "shadow"):
         raise ConfigurationError(f"rollout role must be 'canary' or 'shadow', got {role!r}")
     state.staged_model = pickle.loads(model_blob)
     state.rollout_role = role
-    state.seq += 1
     return state.ack()
 
 
@@ -615,7 +614,6 @@ def unstage_rollout_replica() -> ReplicaAck:
     state = _require_replica()
     state.staged_model = None
     state.rollout_role = None
-    state.seq += 1
     return state.ack()
 
 
@@ -627,7 +625,7 @@ def probe_replica() -> dict:
     """
     state = _require_replica()
     return {
-        "shard": state.shard_index,
+        "shard": state.index,
         "epoch": state.epoch,
         "n_users": state.model_n_users(),
         "n_requests": state.stats.n_requests,
@@ -658,7 +656,7 @@ def probe_memory() -> dict:
     state = _REPLICA
     out: dict = {"rss_kb": rss_kb}
     if state is not None:
-        out["shard"] = state.shard_index
+        out["shard"] = state.index
         out["mode"] = state.mode
         out["n_local_users"] = state.model.dataset.n_users
         out["n_users"] = state.model_n_users()

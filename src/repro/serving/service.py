@@ -67,10 +67,12 @@ class ServingConfig:
     # How the sharded coordinator resolves per-shard slices: "serial"
     # (sequential loop; simulated-makespan accounting), "threaded"
     # (persistent one-worker-per-shard thread pool; measured parallel
-    # wall clock), or "process" (one worker process per shard holding a
+    # wall clock), "process" (one worker process per shard holding a
     # replicated shard state, kept in lockstep by epoch-stamped
-    # replication events — parallel compute past the GIL).  The single
-    # service has no shards and ignores this field.
+    # replication events — parallel compute past the GIL), or "async"
+    # (slices as coroutines on an event loop, so the asyncio front
+    # overlaps modelled RPC waits across requests).  The single service
+    # has no shards and ignores this field.
     engine: str = "serial"
     # How process-engine replicas hold model state: "sliced" partitions
     # per-user state by shard and shares the item side through
@@ -270,13 +272,13 @@ def resolve_slice(
 ) -> tuple[int, list[np.ndarray]]:
     """Resolve one slice of users: batched cache pass, one batch of misses.
 
-    This is the **single definition of slice semantics**, shared by every
-    resolution path: the single service's query, the sharded in-memory
-    engines (which call it from the coordinator process under the
-    shard's lock), and process-engine worker replicas — so cache
-    hit/miss counters and served lists are identical across deployments
-    by construction, not by parallel maintenance of duplicate code
-    paths.
+    This is the **single definition of slice semantics**, shared by the
+    single service's query and by
+    :meth:`~repro.serving.replica.ShardServer.serve_slice`, which every
+    shard runs — in the coordinator process under the shard's lock, or
+    inside a process-engine worker replica — so cache hit/miss counters
+    and served lists are identical across deployments by construction,
+    not by parallel maintenance of duplicate code paths.
 
     The hot path is vectorised: one :meth:`TopKCache.lookup_batch` pass
     over the slice, miss users deduplicated with ``np.unique`` (which
@@ -426,35 +428,42 @@ class RecommendationService:
 
     def inject(self, profile: Sequence[int], client: str = "default") -> int:
         """Register a new user profile, subject to throttles and screening."""
-        try:
-            self._admit_injection(client)
-        except RateLimitExceededError:
-            self.stats.record_rate_limited()
-            raise
-        flagged_score = self._screen_profile(profile)
-        user_id = self._model.add_user(profile)
-        if flagged_score is not None:
-            # Record the *assigned* id, after add_user has run.  Screening
-            # happens before the id exists, so predicting it from
-            # dataset.n_users inside _screen_profile was correct only by
-            # coincidence of call order.
-            self.flagged_injections.append((user_id, flagged_score))
-        self.stats.n_injections += 1
-        self._invalidate_after_injection(user_id)
-        return user_id
+        return self.inject_batch((profile,), client)[0]
 
     def inject_batch(self, profiles: Sequence[Sequence[int]], client: str = "default") -> list[int]:
         """Register several profiles; each is admitted and screened in turn.
 
-        The base implementation is a convenience loop.  The sharded
-        process deployment overrides it to coalesce the whole burst into
-        one batched replication event per shard round trip.  On a
+        This loop is the one definition of the per-profile injection step
+        — quota admission, detector screening, ``add_user``, the flag
+        record, the count — for every deployment; the sharded deployment
+        runs it under its model write lock and replicates the whole burst
+        through :meth:`_invalidate_after_injections` as one event.  On a
         mid-batch denial (quota or detector block) the profiles admitted
-        before the failure stay injected and the error propagates —
-        matching what the equivalent :meth:`inject` loop would leave
-        behind.
+        before the failure stay injected (and invalidated) and the error
+        propagates.
         """
-        return [self.inject(profile, client) for profile in profiles]
+        assigned: list[int] = []
+        try:
+            for profile in profiles:
+                try:
+                    self._admit_injection(client)
+                except RateLimitExceededError:
+                    self.stats.record_rate_limited()
+                    raise
+                flagged_score = self._screen_profile(profile)
+                user_id = self._model.add_user(profile)
+                if flagged_score is not None:
+                    # Record the *assigned* id, after add_user has run.
+                    # Screening happens before the id exists, so predicting
+                    # it from dataset.n_users inside _screen_profile was
+                    # correct only by coincidence of call order.
+                    self.flagged_injections.append((user_id, flagged_score))
+                self.stats.n_injections += 1
+                assigned.append(user_id)
+        finally:
+            if assigned:
+                self._invalidate_after_injections(assigned)
+        return assigned
 
     # -- injection pipeline hooks (overridden by the sharded deployment) ------
     def _admit_injection(self, client: str) -> None:
@@ -483,10 +492,11 @@ class RecommendationService:
             return score
         return None
 
-    def _invalidate_after_injection(self, user_id: int) -> None:
-        """Tell caching state that the model shifted under it."""
+    def _invalidate_after_injections(self, user_ids: list[int]) -> None:
+        """Tell caching state that the model shifted under it, once per user."""
         if self.cache is not None:
-            self.cache.note_injection()
+            for _ in user_ids:
+                self.cache.note_injection()
 
     def cache_stats(self):
         """Aggregate :class:`~repro.serving.cache.CacheStats` view (or None).

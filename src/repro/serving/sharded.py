@@ -6,9 +6,9 @@ each holding its own result cache and quota state, with a thin
 coordinator that fans batched queries out and merges the results.  This
 module models that deployment while **pinning its externally observable
 behaviour to the single-service semantics** of
-:class:`~repro.serving.service.RecommendationService` (the parity test
-harness in ``tests/test_serving_sharded_parity.py`` enforces element-wise
-identical top-k lists):
+:class:`~repro.serving.service.RecommendationService` (the
+engine-conformance suite, ``tests/test_engine_conformance.py``, enforces
+element-wise identical top-k lists and counters under every engine):
 
 * **routing** — users map to shards by stable hash
   (:class:`ShardRouter`) or over a consistent-hash ring
@@ -37,22 +37,35 @@ pool resolves the slices concurrently, so a replay's wall clock is
 **measured** parallel time; the shard-scaling benchmark
 (``repro-bench serve``) reports both side by side.
 
+Whatever the engine, a shard serves its slice through
+:meth:`~repro.serving.replica.ShardServer.serve_slice` — in this process
+over the coordinator's live model, or inside a worker replica — and the
+coordinator folds the returned
+:class:`~repro.serving.replica.SliceResult` into its rollout and mirror
+counters in one place (:meth:`ShardedRecommendationService._fold_slice`).
+
 Under the *process* engine the shards stop sharing memory entirely:
-each shard's serving state (a model replica, its cache, its limiter
-policies, its stats) is serialized into a persistent worker process at
-pool start, and the coordinator keeps the replicas in lockstep through
-an epoch-stamped replication protocol (see :mod:`repro.serving.replica`):
+each shard's serving state (a model replica, its cache, its stats) is
+serialized into a persistent worker process at pool start, and the
+coordinator keeps the replicas in lockstep through an epoch-stamped
+replication protocol (see :mod:`repro.serving.replica`).  Every message
+to the workers is one parallel round trip
+(:meth:`ShardedRecommendationService._round_trip`: submit to every
+worker, then gather, verify and mirror):
 
 * the coordinator's model is the source of truth; its version is a
   monotonically increasing **epoch** (bumped by every injection and
   every episode restore);
-* every injection publishes a :class:`~repro.serving.replica.ReplicationEvent`
-  on the :class:`InvalidationBus` carrying the profile, the new epoch,
-  and the coordinator's freshly **pre-warmed** lazy scoring caches
-  (:meth:`~repro.recsys.base.Recommender.prewarm` — built exactly once,
-  installed verbatim by every replica instead of N duplicate rebuilds);
+* every injection — one sign-up or a burst — publishes one
+  ``inject_batch`` :class:`~repro.serving.replica.ReplicationEvent` on
+  the :class:`InvalidationBus` carrying one record per profile, the new
+  epoch, and (full replication) the coordinator's freshly
+  **pre-warmed** lazy scoring caches
+  (:meth:`~repro.recsys.base.Recommender.prewarm` — built exactly once
+  per burst, installed verbatim by every replica instead of N duplicate
+  rebuilds);
 * every restore publishes a ``resync`` event shipping the rolled-back
-  model wholesale;
+  model wholesale (sliced replication ships each shard its user slice);
 * every query slice carries the coordinator's epoch, and a replica
   whose state lags raises
   :class:`~repro.errors.StaleReplicaError` instead of silently serving
@@ -64,11 +77,10 @@ an epoch-stamped replication protocol (see :mod:`repro.serving.replica`):
   into coordinator-side mirror shards, so reports and the
   engine-conformance counters are identical across engines.
 
-Client admission (rate limiting) stays at the coordinator front door in
-every mode: a client's admissions must serialize *before* fan-out for
-per-shard quota state to be observationally identical to one global
-limiter, so the home-shard limiter mirrors are authoritative and the
-replicated worker-side limiters see no traffic in this deployment.
+Client admission (rate limiting) happens only at the coordinator front
+door, in every mode: a client's admissions must serialize *before*
+fan-out for per-shard quota state to be observationally identical to
+one global limiter, so the home-shard limiters here are the only ones.
 
 Thread-safety contract (what makes the threaded engine correct):
 
@@ -86,7 +98,7 @@ Thread-safety contract (what makes the threaded engine correct):
   matrix, NeuralCF's fused first-layer tensor.  The build is atomic to
   publish and identical from every thread, so concurrent workers can at
   worst duplicate the work, never corrupt it);
-* coordinator-level counters (:class:`ServiceStats`, the
+* coordinator-level counters (:class:`~repro.serving.service.ServiceStats`, the
   :class:`~repro.serving.rate_limit.RateLimiter` admission windows) are
   internally locked.
 """
@@ -100,7 +112,7 @@ import time
 import zlib
 from functools import partial
 from threading import Lock
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,13 +124,18 @@ from repro.errors import (
 )
 from repro.serving import replica as replica_proto
 from repro.serving import shared_state
-from repro.serving.cache import CacheStats, TopKCache
+from repro.serving.cache import CacheStats
 from repro.serving.engine import ExecutionEngine, ReadWriteLock, make_engine
 from repro.serving.metrics import push_recent
 from repro.serving.rate_limit import UNLIMITED, RateLimiter
-from repro.serving.replica import CacheSnapshot, InjectionRecord, ReplicationEvent
+from repro.serving.replica import (
+    CacheSnapshot,
+    InjectionRecord,
+    ReplicationEvent,
+    SliceResult,
+)
 from repro.serving.rollout import ModelVersionRegistry, RolloutController, RolloutGuard
-from repro.serving.service import RecommendationService, ServiceStats, ServingConfig
+from repro.serving.service import RecommendationService, ServingConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recsys.base import Recommender
@@ -312,18 +329,18 @@ class InvalidationBus:
     The bus is the mechanism that keeps per-shard state in lockstep with
     the coordinator's model version: one published
     :class:`~repro.serving.replica.ReplicationEvent` reaches *every*
-    subscriber exactly once, in subscription order.  For in-memory
-    shards an ``inject`` event advances the shard's staleness clock; for
-    process-engine replicas the subscriber forwards the event into the
-    worker (apply the injection + pre-warmed caches, or resync the whole
-    model after a restore) and waits for the epoch acknowledgement.
+    subscriber exactly once, in subscription order.  Each shard's
+    subscription advances its staleness clock once per injected user;
+    under the process engine the coordinator then forwards the event
+    into every worker and waits for the epoch acknowledgements.
 
-    ``events``/``n_deliveries`` track *injection* fan-out so tests and
-    reports can assert it; ``n_resyncs`` counts restore-driven resync
-    broadcasts separately (episode control, not episode-observable
-    traffic).  ``events`` keeps only the latest
-    :data:`~repro.serving.metrics.RECENT_SAMPLES` injected user ids (a
-    ring, in rotated order once full); ``n_events`` counts every one.
+    ``events``/``n_deliveries`` track *injection* fan-out (one count per
+    injected user per subscriber) so tests and reports can assert it;
+    ``n_resyncs`` counts restore-driven resync broadcasts separately
+    (episode control, not episode-observable traffic).  ``events`` keeps
+    only the latest :data:`~repro.serving.metrics.RECENT_SAMPLES`
+    injected user ids (a ring, in rotated order once full); ``n_events``
+    counts every one.
     """
 
     def __init__(self) -> None:
@@ -339,23 +356,16 @@ class InvalidationBus:
         self._subscribers.append(callback)
 
     def publish(self, event: ReplicationEvent) -> None:
-        if event.kind == "inject":
-            self._note_injected(event.user_id)
-        elif event.kind == "inject_batch":
-            for record in event.records or ():
-                self._note_injected(record.user_id)
-        else:
+        if event.kind == "resync":
             self.n_resyncs += 1
+        for record in event.records:
+            self.n_events += 1
+            self._events_cursor = push_recent(
+                self.events, self._events_cursor, int(record.user_id)
+            )
         for callback in self._subscribers:
             callback(event)
-            if event.kind == "inject":
-                self.n_deliveries += 1
-            elif event.kind == "inject_batch":
-                self.n_deliveries += len(event.records or ())
-
-    def _note_injected(self, user_id: int) -> None:
-        self.n_events += 1
-        self._events_cursor = push_recent(self.events, self._events_cursor, int(user_id))
+            self.n_deliveries += len(event.records)
 
     def reset(self) -> None:
         """Forget delivered history (episode boundary; subscriptions persist).
@@ -370,7 +380,7 @@ class InvalidationBus:
         self.n_resyncs = 0
 
 
-class _WorkerShard:
+class _WorkerShard(replica_proto.ShardServer):
     """One worker: its cache, its quota state, its serving counters.
 
     ``lock`` guards every mutable field; the engine worker resolving this
@@ -394,33 +404,24 @@ class _WorkerShard:
         limiter_kwargs: dict,
         n_items: int | None = None,
     ) -> None:
-        self.index = index
+        super().__init__(index, config, n_items)
         self.lock = Lock()
         # repro-lint: disable=RL004 -- deployment topology, not episode state
         self.remote = False
         self.n_replica_entries = 0  # guarded-by: lock (replica cache size, remote mirrors only)
         self._snapshot_seq = -1  # guarded-by: lock (newest replica snapshot folded in)
-        self.cache = (
-            TopKCache(
-                capacity=config.cache_capacity,
-                ttl_injections=config.ttl_injections,
-                n_items=n_items,
-            )
-            if config.cache_capacity > 0
-            else None
-        )
         self.limiter = RateLimiter(
             default_policy=config.default_policy,
             per_client=per_client_policies,
             **limiter_kwargs,
         )
-        self.stats = ServiceStats()
 
-    def note_injection(self) -> None:
-        """Bus callback: advance this shard's staleness clock under lock."""
+    def on_event(self, event: ReplicationEvent) -> None:
+        """Bus callback: advance the staleness clock once per injected user."""
         with self.lock:
             if self.cache is not None:
-                self.cache.note_injection()
+                for _ in event.records:
+                    self.cache.note_injection()
 
     def apply_snapshot(self, snapshot: CacheSnapshot | None) -> None:
         """Fold a replica's reported cache counters into this mirror.
@@ -442,20 +443,11 @@ class _WorkerShard:
                 stats.invalidations = snapshot.invalidations
                 self.n_replica_entries = snapshot.n_entries
 
-    def record_remote_slice(self, result: replica_proto.SliceResult, n_users: int) -> None:
-        """Mirror one worker-resolved slice: request stats + cache counters."""
-        with self.lock:
-            self.stats.record_request(n_users, result.n_scored, result.elapsed)
-        self.apply_snapshot(result.cache)
-
     def reset(self) -> None:
         """Return every counter and entry to the freshly-constructed state."""
         with self.lock:
-            if self.cache is not None:
-                self.cache.flush()
-                self.cache.stats.reset()
+            super().reset()
             self.limiter.reset()
-            self.stats.reset()
             self.n_replica_entries = 0
             # Without this, a mirror that saw snapshot seq N before the
             # reset would drop every post-reset snapshot up to seq N —
@@ -621,7 +613,7 @@ class ShardedRecommendationService(RecommendationService):
             ]
             for shard in self.shards:
                 shard.remote = self._remote
-                self.bus.subscribe(partial(self._on_replication_event, shard))
+                self.bus.subscribe(shard.on_event)
             if self._remote:
                 self._install_replicas()
         except Exception:
@@ -656,11 +648,11 @@ class ShardedRecommendationService(RecommendationService):
 
         Full mode: the model is pickled once and shipped to every worker
         together with the serving config (from which the worker rebuilds
-        its cache, limiter, and stats) — the shard state leaves the
-        coordinator's address space here and is only ever touched through
-        replication messages afterwards.  Lazy scoring caches are
-        pre-warmed *before* serialization so the blob ships warm: no
-        worker ever pays a cold rebuild on its first slice.
+        its cache and stats) — the shard state leaves the coordinator's
+        address space here and is only ever touched through replication
+        messages afterwards.  Lazy scoring caches are pre-warmed *before*
+        serialization so the blob ships warm: no worker ever pays a cold
+        rebuild on its first slice.
 
         Sliced mode (``config.replication == "sliced"`` and the model
         supports it): the item side is published once into shared-memory
@@ -669,54 +661,54 @@ class ShardedRecommendationService(RecommendationService):
         proportional to the shard's user count, not N full models.
         """
         if self._sliced:
-            self._install_replicas_sliced()
+            self._shared_store = shared_state.SharedItemStore(self._model.shared_item_state())
+            head = (self._shared_store.handle(), self.config, self._epoch, self.shard_latency_s)
+            n_users = self._model.dataset.n_users
+            self._round_trip(
+                replica_proto.install_replica_sliced,
+                ((i, (i, blob, ids, *head, n_users)) for i, blob, ids in self._user_slices()),
+            )
             return
         self._model.prewarm()
-        blob = pickle.dumps(self._model)
-        futures = [
-            self._engine.submit_to(
-                shard.index,
-                replica_proto.install_replica,
-                shard.index,
-                blob,
-                self.config,
-                self._epoch,
-                self.shard_latency_s,
-            )
-            for shard in self.shards
-        ]
-        for shard, ack in zip(self.shards, self._engine.gather(futures)):
-            self._verify_replica(ack.epoch, ack.model_n_users, shard.index)
+        args = (pickle.dumps(self._model), self.config, self._epoch, self.shard_latency_s)
+        self._round_trip(
+            replica_proto.install_replica, [(i, (i, *args)) for i in range(self.n_shards)]
+        )
 
-    def _shard_user_ids(self) -> list[np.ndarray]:
-        """Partition every current user id by owning shard (router-driven)."""
+    def _user_slices(self) -> Iterator[tuple[int, bytes, np.ndarray]]:
+        """``(shard, pickled user slice, user ids)`` per shard, split by the router.
+
+        Lazy, so :meth:`_round_trip` pickles each slice just before
+        submitting it.
+        """
         users = np.arange(self._model.dataset.n_users, dtype=np.int64)
         if self.n_shards == 1 or users.size == 0:
-            return [users] + [users[:0]] * (self.n_shards - 1)
-        shards = self.router.shards_for_users(users)
-        return [users[shards == index] for index in range(self.n_shards)]
+            parts = [users] + [users[:0]] * (self.n_shards - 1)
+        else:
+            shards = self.router.shards_for_users(users)
+            parts = [users[shards == index] for index in range(self.n_shards)]
+        for index, ids in enumerate(parts):
+            yield index, pickle.dumps(self._model.slice_users(ids)), ids
 
-    def _install_replicas_sliced(self) -> None:
-        self._shared_store = shared_state.SharedItemStore(self._model.shared_item_state())
-        handle = self._shared_store.handle()
-        n_users_global = self._model.dataset.n_users
-        futures = [
-            self._engine.submit_to(
-                shard.index,
-                replica_proto.install_replica_sliced,
-                shard.index,
-                pickle.dumps(self._model.slice_users(user_ids)),
-                user_ids,
-                handle,
-                self.config,
-                self._epoch,
-                self.shard_latency_s,
-                n_users_global,
-            )
-            for shard, user_ids in zip(self.shards, self._shard_user_ids())
-        ]
-        for shard, ack in zip(self.shards, self._engine.gather(futures)):
-            self._verify_replica(ack.epoch, ack.model_n_users, shard.index)
+    def _round_trip(self, fn: Callable, calls: Iterable[tuple[int, tuple]]) -> list:
+        """One parallel round trip: ``fn(*args)`` on each listed worker.
+
+        ``calls`` yields ``(shard_index, args)`` pairs, at most one per
+        worker, consumed lazily: a generator builds worker ``i + 1``'s
+        message while worker ``i`` already works on its own.  Every
+        message is submitted before any reply is awaited, so contacting N
+        workers costs one round trip, not N sequential ones.
+        Each reply (a :class:`~repro.serving.replica.ReplicaAck` or
+        :class:`~repro.serving.replica.SliceResult`) is then verified, in
+        call order, against the coordinator's epoch and user count, and
+        its cache counters are folded into the shard's mirror.
+        """
+        futures = {index: self._engine.submit_to(index, fn, *args) for index, args in calls}
+        replies = self._engine.gather(list(futures.values()))
+        for index, reply in zip(futures, replies):
+            self._verify_replica(reply.epoch, reply.model_n_users, index)
+            self.shards[index].apply_snapshot(reply.cache)
+        return replies
 
     def _verify_replica(self, epoch: int, model_n_users: int, shard_index: int) -> None:
         """Cross-check a replica's reported version against the coordinator."""
@@ -727,33 +719,18 @@ class ShardedRecommendationService(RecommendationService):
                 f"{self._model.dataset.n_users} users"
             )
 
-    def _on_replication_event(self, shard: _WorkerShard, event: ReplicationEvent) -> None:
-        """Bus subscriber: advance one mirror's staleness clock."""
-        if event.kind == "inject":
-            shard.note_injection()
-        elif event.kind == "inject_batch":
-            for _ in event.records or ():
-                shard.note_injection()
-
     def _replicate(self, event: ReplicationEvent) -> None:
         """Broadcast one state change: bus first, then all workers at once.
 
         The bus fan-out ticks every coordinator-side mirror (and records
         the event for observability); under the process engine the event
-        is then submitted to *every* worker before any acknowledgement
-        is awaited, so an injection pays one parallel round trip instead
-        of ``n_shards`` sequential ones while holding the write lock.
-        Acks are verified in shard order after the gather.
+        then reaches every worker in one parallel round trip while the
+        write lock is held.
         """
         self.bus.publish(event)
         if self._remote:
-            futures = [
-                self._engine.submit_to(shard.index, replica_proto.apply_event, event)
-                for shard in self.shards
-            ]
-            for shard, ack in zip(self.shards, self._engine.gather(futures)):
-                self._verify_replica(ack.epoch, ack.model_n_users, shard.index)
-                shard.apply_snapshot(ack.cache)
+            calls = [(i, (event,)) for i in range(self.n_shards)]
+            self._round_trip(replica_proto.apply_event, calls)
 
     def replica_probe(self) -> list[dict]:
         """Diagnostic view of every worker replica (process engine only)."""
@@ -814,14 +791,20 @@ class ShardedRecommendationService(RecommendationService):
         # a leaf below the model lock on every path, so ordering is safe.
         with self._model_lock.read():
             self._admit_query(client, n_users, profiler)
+            rollout = self._rollout  # stable for the read hold (rebinding needs the write lock)
             if self._remote:
-                outcomes = self._resolve_remote(slices, k, exclude_seen, use_cache)
+                outcomes = self._round_trip(
+                    replica_proto.query_slice,
+                    [(i, (self._epoch, u, k, exclude_seen, use_cache)) for i, _, u in slices],
+                )
             else:
                 outcomes = self._engine.run(
-                    self._slice_tasks(slices, k, exclude_seen, use_cache),
+                    self._slice_tasks(slices, rollout, k, exclude_seen, use_cache),
                     latency_s=self.shard_latency_s,
                 )
-            results = self._merge_outcomes(order, outcomes, n_users, profiler, start)
+            results = self._merge_outcomes(
+                order, slices, outcomes, rollout, n_users, profiler, start
+            )
         # Outside the read hold: acting on a rollout verdict needs the
         # write lock, and a reader can never upgrade to it.
         self._maybe_auto_rollback()
@@ -870,11 +853,14 @@ class ShardedRecommendationService(RecommendationService):
             )
         try:
             self._admit_query(client, n_users, profiler)
+            rollout = self._rollout
             outcomes = await run_async(
-                self._slice_tasks(slices, k, exclude_seen, use_cache),
+                self._slice_tasks(slices, rollout, k, exclude_seen, use_cache),
                 latency_s=self.shard_latency_s,
             )
-            results = self._merge_outcomes(order, outcomes, n_users, profiler, start)
+            results = self._merge_outcomes(
+                order, slices, outcomes, rollout, n_users, profiler, start
+            )
         finally:
             self._model_lock.release_read()
         rollout = self._rollout
@@ -915,314 +901,157 @@ class ShardedRecommendationService(RecommendationService):
             profiler.add("admission", time.perf_counter() - t0, n_users)
 
     def _slice_tasks(
-        self, slices, k: int, exclude_seen: bool, use_cache: bool
-    ) -> list[Callable[[], tuple[int, list[np.ndarray]]]]:
-        rollout = self._rollout  # stable for the read hold (rebinding needs the write lock)
+        self, slices, rollout: RolloutController | None, k: int, exclude_seen: bool, use_cache: bool
+    ) -> list[Callable[[], SliceResult]]:
+        """One in-process serve call per slice, over the coordinator's live model.
+
+        The modelled worker RPC latency is paid by the *engine* (see
+        ``ExecutionEngine.run(tasks, latency_s=...)``) before a task
+        body runs, and the shard's busy clock starts only once its lock
+        is held, so neither the modelled wait nor lock contention counts
+        as shard work.
+        """
+        staged = canary = None
         if rollout is not None:
-            return [
-                partial(
-                    self._resolve_shard_rollout,
-                    rollout,
-                    shard_index,
-                    slice_users,
-                    k,
-                    exclude_seen,
-                    use_cache,
-                )
-                for shard_index, _, slice_users in slices
-            ]
+            staged, canary = rollout.staged_model, rollout.canary_shard
         return [
             partial(
-                self._resolve_shard,
-                self.shards[shard_index],
-                slice_users,
+                self.shards[index].serve_slice,
+                self._model,
+                users,
                 k,
                 exclude_seen,
                 use_cache,
+                staged,
+                None if staged is None else "canary" if index == canary else "shadow",
+                self._clock,
+                self.profiler,
             )
-            for shard_index, _, slice_users in slices
+            for index, _, users in slices
         ]
 
+    def _fold_slice(
+        self, shard: _WorkerShard, rollout: RolloutController | None, result: SliceResult
+    ) -> None:
+        """Fold one served slice into the mirror and rollout counters.
+
+        A remote shard's request stats accrued in its worker, so the
+        mirror records them here (a clean canary slice recorded nothing
+        and is mirrored as nothing — recording it would make rollback
+        observable).
+        """
+        if shard.remote and not result.canary_users:
+            shard.stats.record_request(len(result.results), result.n_scored, result.elapsed)
+        if rollout is None:
+            return
+        if result.canary_users:
+            rollout.note_canary(result.canary_users, result.elapsed)
+            self.stats.record_canary(result.canary_users)
+        elif result.rollout_error is not None:
+            rollout.fail(result.rollout_error)
+        elif result.shadow_users:
+            rollout.note_shadow(result.shadow_users, result.shadow_agree)
+            self.stats.record_shadow(result.shadow_users, result.shadow_agree)
+
     def _merge_outcomes(
-        self, order, outcomes, n_users: int, profiler, start: float
+        self,
+        order,
+        slices,
+        outcomes: list[SliceResult],
+        rollout: RolloutController | None,
+        n_users: int,
+        profiler,
+        start: float,
     ) -> list[np.ndarray]:
-        """Scatter slice results back to request order; record the request."""
-        n_scored_total = sum(n_scored for n_scored, _ in outcomes)
+        """Fold every slice, scatter results back to request order, record the request."""
+        n_scored_total = 0
+        for (index, _, _), result in zip(slices, outcomes):
+            self._fold_slice(self.shards[index], rollout, result)
+            n_scored_total += result.n_scored
         t0 = time.perf_counter() if profiler is not None else 0.0
         if not outcomes:
             results: list[np.ndarray] = []
         elif len(outcomes) == 1:
             # One slice ⇒ its users kept request order (stable sort).
-            results = list(outcomes[0][1])
+            results = list(outcomes[0].results)
         else:
-            results = scatter_to_request_order(
-                order, [shard_results for _, shard_results in outcomes]
-            )
+            results = scatter_to_request_order(order, [result.results for result in outcomes])
         if profiler is not None:
             profiler.add("merge", time.perf_counter() - t0, n_users)
         self.stats.record_request(n_users, n_scored_total, self._clock() - start)
         return results
 
-    def _resolve_remote(
-        self,
-        slices: list[tuple[int, np.ndarray | None, np.ndarray]],
-        k: int,
-        exclude_seen: bool,
-        use_cache: bool,
-    ) -> list[tuple[int, list[np.ndarray]]]:
-        """Fan slices out to the worker replicas and mirror their counters.
-
-        Every slice message carries the coordinator's current epoch; a
-        replica that is not exactly at that version raises
-        :class:`~repro.errors.StaleReplicaError` rather than serving a
-        stale model, and the coordinator re-checks the epoch and user
-        count echoed in each result.  Per-shard stats and cache counters
-        accrue in the worker and are folded into the coordinator-side
-        mirrors here, so reports are engine-independent.
-        """
-        futures = [
-            self._engine.submit_to(
-                shard_index,
-                replica_proto.query_slice,
-                self._epoch,
-                slice_users,
-                k,
-                exclude_seen,
-                use_cache,
-            )
-            for shard_index, _, slice_users in slices
-        ]
-        outcomes: list[tuple[int, list[np.ndarray]]] = []
-        rollout = self._rollout  # stable for the read hold (rebinding needs the write lock)
-        for (shard_index, _, slice_users), result in zip(slices, self._engine.gather(futures)):
-            self._verify_replica(result.epoch, result.model_n_users, shard_index)
-            if rollout is not None and result.canary_users:
-                # Clean canary slice: the replica served the staged model
-                # side-effect-free (no stats recorded, no cache touched),
-                # so mirror only its unchanged cache view — recording the
-                # request here would make rollback observable.
-                self.shards[shard_index].apply_snapshot(result.cache)
-                rollout.note_canary(result.canary_users, result.elapsed)
-                self.stats.record_canary(result.canary_users)
-            else:
-                self.shards[shard_index].record_remote_slice(result, len(slice_users))
-                if rollout is not None:
-                    if result.rollout_error is not None:
-                        rollout.fail(f"shard {shard_index}: {result.rollout_error}")
-                    elif result.shadow_users:
-                        rollout.note_shadow(result.shadow_users, result.shadow_agree)
-                        self.stats.record_shadow(result.shadow_users, result.shadow_agree)
-            outcomes.append((result.n_scored, result.results))
-        return outcomes
-
-    def _resolve_shard(
-        self,
-        shard: _WorkerShard,
-        shard_users: np.ndarray,
-        k: int,
-        exclude_seen: bool,
-        use_cache: bool,
-    ) -> tuple[int, list[np.ndarray]]:
-        """Resolve one shard's slice (runs on the engine's worker thread).
-
-        The modelled worker RPC latency is paid by the *engine* (see
-        ``ExecutionEngine.run(tasks, latency_s=...)``) before this task
-        body runs — slept per worker thread, awaited on the event loop,
-        or slept in sequence by the serial engine — and the busy clock
-        starts only after the shard lock is held: ``busy_s`` stays pure
-        compute — neither the modelled wait nor lock contention from
-        concurrent clients counts as shard work — so the simulated
-        makespan model is unchanged, while measured wall clock feels
-        both.
-        """
-        with shard.lock:
-            t0 = self._clock()
-            n_scored, shard_results = replica_proto.resolve_slice(
-                self._model,
-                shard.cache,
-                shard_users,
-                k,
-                exclude_seen,
-                use_cache,
-                profiler=self.profiler,
-            )
-            shard.stats.record_request(len(shard_users), n_scored, self._clock() - t0)
-        return n_scored, shard_results
-
-    def _resolve_shard_rollout(
-        self,
-        rollout: RolloutController,
-        shard_index: int,
-        shard_users: np.ndarray,
-        k: int,
-        exclude_seen: bool,
-        use_cache: bool,
-    ) -> tuple[int, list[np.ndarray]]:
-        """In-memory slice resolution while a version is staged.
-
-        The canary shard serves the *staged* model side-effect-free — no
-        shard cache, no shard stats — so a rollback leaves the shard's
-        durable state exactly as if the window never opened; a staged
-        model that raises marks the window failed and the slice degrades
-        to the active model through the normal path (that traffic is real
-        served traffic and is accounted as such).  Shadow shards serve
-        the active model normally, then score the staged model on the
-        side and fold exact top-k agreement into the window's counters.
-        """
-        shard = self.shards[shard_index]
-        if shard_index == rollout.canary_shard:
-            t0 = time.perf_counter()
-            try:
-                n_scored, shard_results = replica_proto.resolve_slice(
-                    rollout.staged_model, None, shard_users, k, exclude_seen, False
-                )
-            except Exception as exc:  # noqa: BLE001 - any staged-model fault rolls back
-                rollout.fail(
-                    f"canary shard {shard_index} raised {type(exc).__name__}: {exc}"
-                )
-            else:
-                rollout.note_canary(len(shard_users), time.perf_counter() - t0)
-                self.stats.record_canary(len(shard_users))
-                return n_scored, shard_results
-            return self._resolve_shard(shard, shard_users, k, exclude_seen, use_cache)
-        n_scored, shard_results = self._resolve_shard(
-            shard, shard_users, k, exclude_seen, use_cache
-        )
-        try:
-            _, staged_lists = replica_proto.resolve_slice(
-                rollout.staged_model, None, shard_users, k, exclude_seen, False
-            )
-        except Exception as exc:  # noqa: BLE001 - any staged-model fault rolls back
-            rollout.fail(
-                f"shadow scoring on shard {shard_index} raised {type(exc).__name__}: {exc}"
-            )
-        else:
-            n_agree = sum(
-                int(np.array_equal(served, staged))
-                for served, staged in zip(shard_results, staged_lists)
-            )
-            rollout.note_shadow(len(shard_users), n_agree)
-            self.stats.record_shadow(len(shard_users), n_agree)
-        return n_scored, shard_results
-
     # -- injection pipeline hooks --------------------------------------------
     def inject(self, profile: Sequence[int], client: str = "default") -> int:
         """Register a profile; exclusive with in-flight queries.
 
-        The write lock drains concurrent readers before the model
-        mutates, so a shard worker never scores against a half-applied
-        injection; the bus then advances every shard's staleness clock
-        before the next query can start.
+        One profile is a one-record :meth:`inject_batch`: it takes the
+        model write lock once (the lock is not re-entrant) and replicates
+        as one ``inject_batch`` event.
         """
-        with self._model_lock.write():
-            self._check_no_rollout("inject")
-            return super().inject(profile, client=client)
+        return self.inject_batch((profile,), client)[0]
 
     def inject_batch(self, profiles: Sequence[Sequence[int]], client: str = "default") -> list[int]:
         """Register a burst of profiles with one replication round trip.
 
-        Under sliced replication the whole burst is admitted, screened,
-        and folded into the coordinator's model under a single write-lock
-        hold, then crosses the process boundary as **one**
-        ``inject_batch`` event per shard instead of one event per
-        profile.  A mid-batch denial (quota or detector block) still
-        replicates the successfully admitted prefix — the coordinator's
-        model already holds those users — before the error propagates.
-
-        Full-replication deployments fall back to the per-profile loop
-        (each injection replicates its own pre-warm payload, which the
-        batched event cannot coalesce without changing lockstep
-        semantics).
+        The write lock drains concurrent readers before the model
+        mutates, so a shard worker never scores against a half-applied
+        injection.  The whole burst is admitted, screened and folded
+        into the coordinator's model under that one hold (the shared
+        per-profile step of :meth:`RecommendationService.inject_batch`),
+        then replicates as **one** ``inject_batch`` event — one bus
+        publish, and under the process engine one round trip per worker
+        whatever the replication mode.  A mid-batch denial (quota or
+        detector block) still replicates the successfully admitted
+        prefix — the coordinator's model already holds those users —
+        before the error propagates.
         """
-        if not self._sliced:
-            return super().inject_batch(profiles, client=client)
         with self._model_lock.write():
-            self._check_no_rollout("inject_batch")
-            assigned: list[int] = []
-            try:
-                for profile in profiles:
-                    try:
-                        self._admit_injection(client)
-                    except RateLimitExceededError:
-                        self.stats.record_rate_limited()
-                        raise
-                    flagged_score = self._screen_profile(profile)
-                    user_id = self._model.add_user(profile)
-                    if flagged_score is not None:
-                        self.flagged_injections.append((user_id, flagged_score))
-                    self.stats.n_injections += 1
-                    self._epoch += 1
-                    assigned.append(int(user_id))
-            finally:
-                if assigned:
-                    self._replicate_injections(assigned)
-            return assigned
+            self._check_no_rollout("inject")
+            return super().inject_batch(profiles, client=client)
 
     def _admit_injection(self, client: str) -> None:
         self._limiter_for_client(client).admit_injection(client)
 
-    def _invalidate_after_injection(self, user_id: int) -> None:
-        """Advance the epoch, pre-warm once if needed, and replicate.
+    def _invalidate_after_injections(self, user_ids: list[int]) -> None:
+        """Advance the epoch, refresh derived state once, and replicate.
 
-        When the engine resolves slices concurrently, the coordinator
-        rebuilds every lazy scoring cache the injection invalidated
-        (:meth:`~repro.recsys.base.Recommender.prewarm`) *before*
-        fan-out — still inside the write lock — so engine workers never
-        race two duplicate rebuilds on their first post-injection
-        slices, and process replicas install the shipped state instead
-        of performing N rebuilds.  Under the serial engine the rebuild
-        stays lazy (the historical cost profile: an injection burst with
-        no interleaved query pays one rebuild at the next query, not
-        one per injection).
-
-        Sliced replication replaces the pre-warm shipment entirely: the
-        coordinator republishes dirty shared item state in place (one
-        shared copy, no per-shard payload) and replicates a one-record
-        batch event carrying only the profile and per-user state.
+        Sliced replication republishes dirty shared item state in place
+        (one shared copy, no per-shard payload — ItemKNN's similarity
+        matrix, popularity counts; safe because the write lock has
+        drained every reader), and each record carries the per-user state
+        the owning shard appends.  Otherwise, when the engine resolves
+        slices concurrently, the coordinator rebuilds every lazy scoring
+        cache the burst invalidated
+        (:meth:`~repro.recsys.base.Recommender.prewarm`) once, *before*
+        fan-out, so engine workers never race duplicate rebuilds and
+        process replicas install the shipped state instead of performing
+        N rebuilds.  Under the serial engine the rebuild stays lazy (the
+        historical cost profile: a burst with no interleaved query pays
+        one rebuild at the next query).
         """
-        self._epoch += 1
-        if self._sliced:
-            self._replicate_injections([int(user_id)])
-            return
+        self._epoch += len(user_ids)
         prewarm = None
-        if self._engine.concurrent:
+        if self._sliced:
+            if not self._model.shared_static_under_injection:
+                self._shared_store.publish(self._model.shared_item_state())
+        elif self._engine.concurrent:
             state = self._model.prewarm()
             if self._remote:
                 prewarm = state
-        profile = tuple(int(v) for v in self._model.dataset.user_profile(int(user_id)))
-        self._replicate(
-            ReplicationEvent(
-                kind="inject",
-                epoch=self._epoch,
-                user_id=int(user_id),
-                profile=profile,
-                prewarm=prewarm,
-            )
-        )
-
-    def _replicate_injections(self, user_ids: list[int]) -> None:
-        """Sliced-mode replication of one injection burst (epoch already bumped).
-
-        Dirty shared state (ItemKNN's similarity matrix, popularity
-        counts) is rebuilt once by the coordinator and republished into
-        the live segments — safe because the write lock has drained
-        every reader — then a single batched event fans out.
-        """
-        if not self._model.shared_static_under_injection:
-            self._shared_store.publish(self._model.shared_item_state())
         records = tuple(
             InjectionRecord(
                 user_id=user_id,
-                profile=tuple(
-                    int(v) for v in self._model.dataset.user_profile(user_id)
-                ),
-                owner_shard=int(self.router.shard_for_user(user_id)),
-                user_state=self._model.user_state(user_id),
+                profile=tuple(int(v) for v in self._model.dataset.user_profile(user_id)),
+                owner_shard=self.router.shard_for_user(user_id),
+                user_state=self._model.user_state(user_id) if self._sliced else None,
             )
             for user_id in user_ids
         )
         self._replicate(
-            ReplicationEvent(kind="inject_batch", epoch=self._epoch, records=records)
+            ReplicationEvent(
+                kind="inject_batch", epoch=self._epoch, records=records, prewarm=prewarm
+            )
         )
 
     # -- episode management ---------------------------------------------------
@@ -1278,7 +1107,18 @@ class ShardedRecommendationService(RecommendationService):
             shard.reset()
         self._epoch += 1
         if self._sliced:
-            self._resync_sliced()
+            # *All* shared item state is republished (not just
+            # injection-dirty arrays): the model arrays were replaced
+            # wholesale and parameter-derived caches (NeuralCF's fused
+            # tensor) invalidated.  Each worker then receives only its
+            # shard's user slice — a payload independent of catalog size.
+            self._shared_store.publish(self._model.shared_item_state())
+            self.bus.publish(ReplicationEvent(kind="resync", epoch=self._epoch))
+            n_users = self._model.dataset.n_users
+            self._round_trip(
+                replica_proto.resync_sliced,
+                ((i, (self._epoch, blob, ids, n_users)) for i, blob, ids in self._user_slices()),
+            )
         elif self._remote:
             # Ship the model warm (a rollback drops lazy caches, a
             # promote may stage them cold), so no replica pays a rebuild.
@@ -1291,35 +1131,6 @@ class ShardedRecommendationService(RecommendationService):
                 )
             )
         self.bus.reset()
-
-    def _resync_sliced(self) -> None:
-        """Sliced-mode episode resync: republish items, reship user slices.
-
-        *All* shared item state is republished (not just injection-dirty
-        arrays): the rollback replaced model arrays wholesale and
-        invalidated parameter-derived caches (NeuralCF's fused tensor),
-        so the segments must be rebuilt from the restored model.  Each
-        worker then receives only its shard's rolled-back user slice —
-        the resync payload is independent of catalog size, unlike the
-        full-mode whole-model pickle.
-        """
-        self._shared_store.publish(self._model.shared_item_state())
-        self.bus.publish(ReplicationEvent(kind="resync", epoch=self._epoch))
-        n_users_global = self._model.dataset.n_users
-        futures = [
-            self._engine.submit_to(
-                shard.index,
-                replica_proto.resync_sliced,
-                self._epoch,
-                pickle.dumps(self._model.slice_users(user_ids)),
-                user_ids,
-                n_users_global,
-            )
-            for shard, user_ids in zip(self.shards, self._shard_user_ids())
-        ]
-        for shard, ack in zip(self.shards, self._engine.gather(futures)):
-            self._verify_replica(ack.epoch, ack.model_n_users, shard.index)
-            shard.apply_snapshot(ack.cache)
 
     # -- versioned rollout -----------------------------------------------------
     def _check_no_rollout(self, operation: str) -> None:
@@ -1403,18 +1214,12 @@ class ShardedRecommendationService(RecommendationService):
             try:
                 if self._remote:
                     blob = pickle.dumps(model)
-                    futures = [
-                        self._engine.submit_to(
-                            shard.index,
-                            replica_proto.stage_rollout_replica,
-                            blob,
-                            "canary" if shard.index == canary_shard else "shadow",
-                            self._epoch,
-                        )
-                        for shard in self.shards
-                    ]
-                    for shard, ack in zip(self.shards, self._engine.gather(futures)):
-                        self._verify_replica(ack.epoch, ack.model_n_users, shard.index)
+                    roles = ["shadow"] * self.n_shards
+                    roles[canary_shard] = "canary"
+                    self._round_trip(
+                        replica_proto.stage_rollout_replica,
+                        [(i, (blob, role, self._epoch)) for i, role in enumerate(roles)],
+                    )
             except Exception:
                 # Leave no half-staged fleet behind: burn the version and
                 # drop whatever replicas did stage before re-raising.
@@ -1487,14 +1292,9 @@ class ShardedRecommendationService(RecommendationService):
         version = self.versions.abandon(self._model.dataset.n_users)
         self._rollout = None
         if self._remote:
-            futures = [
-                self._engine.submit_to(
-                    shard.index, replica_proto.unstage_rollout_replica
-                )
-                for shard in self.shards
-            ]
-            for shard, ack in zip(self.shards, self._engine.gather(futures)):
-                self._verify_replica(ack.epoch, ack.model_n_users, shard.index)
+            self._round_trip(
+                replica_proto.unstage_rollout_replica, [(i, ()) for i in range(self.n_shards)]
+            )
         self.stats.clear_rollout_counters()
         self.last_rollout_rollback = {"version": version, "reason": reason, "auto": auto}
         return version

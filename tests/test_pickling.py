@@ -28,6 +28,7 @@ from repro.recsys import (
 )
 from repro.serving import (
     ConsistentHashRouter,
+    InjectionRecord,
     QuotaPolicy,
     RateLimiter,
     ReplicationEvent,
@@ -162,15 +163,15 @@ class TestServingComponentRoundTrips:
 
     def test_replication_event(self):
         event = ReplicationEvent(
-            kind="inject",
+            kind="inject_batch",
             epoch=3,
-            user_id=41,
-            profile=(1, 2, 3),
+            records=(InjectionRecord(user_id=41, profile=(1, 2, 3), owner_shard=0),),
             prewarm={"sim": np.eye(2)},
         )
         clone = pickle.loads(pickle.dumps(event))
-        assert (clone.kind, clone.epoch, clone.user_id, clone.profile) == (
-            "inject",
+        (record,) = clone.records
+        assert (clone.kind, clone.epoch, record.user_id, record.profile) == (
+            "inject_batch",
             3,
             41,
             (1, 2, 3),

@@ -45,6 +45,14 @@ def clean_registry():
     replica_proto._REPLICA = None
 
 
+def _inject(epoch, user_id, profile, prewarm=None):
+    """A one-record injection event: how every deployment replicates a sign-up."""
+    record = replica_proto.InjectionRecord(user_id=user_id, profile=profile, owner_shard=0)
+    return replica_proto.ReplicationEvent(
+        kind="inject_batch", epoch=epoch, records=(record,), prewarm=prewarm
+    )
+
+
 def _install(model, config=None, epoch=0, latency=0.0):
     config = config if config is not None else ServingConfig(cache_capacity=16)
     return replica_proto.install_replica(
@@ -107,11 +115,7 @@ class TestApplyEvent:
         model = _model()
         _install(model)
         replica_proto.query_slice(0, list(range(6)), 4, True, True)
-        ack = replica_proto.apply_event(
-            replica_proto.ReplicationEvent(
-                kind="inject", epoch=1, user_id=N_USERS, profile=(0, 1, 2)
-            )
-        )
+        ack = replica_proto.apply_event(_inject(1, N_USERS, (0, 1, 2)))
         assert ack.epoch == 1 and ack.model_n_users == N_USERS + 1
         assert ack.cache.n_entries == 0  # strict mode flushed the cache
         assert ack.cache.invalidations > 0
@@ -122,31 +126,19 @@ class TestApplyEvent:
     def test_inject_with_mismatched_user_id_raises(self):
         _install(_model())
         with pytest.raises(StaleReplicaError, match="user id"):
-            replica_proto.apply_event(
-                replica_proto.ReplicationEvent(
-                    kind="inject", epoch=1, user_id=N_USERS + 5, profile=(0, 1)
-                )
-            )
+            replica_proto.apply_event(_inject(1, N_USERS + 5, (0, 1)))
 
     def test_out_of_order_inject_raises(self):
         _install(_model())
         with pytest.raises(StaleReplicaError, match="out-of-order"):
-            replica_proto.apply_event(
-                replica_proto.ReplicationEvent(
-                    kind="inject", epoch=2, user_id=N_USERS, profile=(0, 1)
-                )
-            )
+            replica_proto.apply_event(_inject(2, N_USERS, (0, 1)))
 
     def test_inject_installs_prewarm_instead_of_rebuilding(self):
         coordinator = ItemKNN().fit(_model().dataset.copy())
         _install(coordinator)
         uid = coordinator.add_user([0, 2, 4])
         prewarm = coordinator.prewarm()
-        replica_proto.apply_event(
-            replica_proto.ReplicationEvent(
-                kind="inject", epoch=1, user_id=uid, profile=(0, 2, 4), prewarm=prewarm
-            )
-        )
+        replica_proto.apply_event(_inject(1, uid, (0, 2, 4), prewarm=prewarm))
         builds_after_apply = replica_proto.probe_replica()["prewarm"]["sim_builds"]
         result = replica_proto.query_slice(1, list(range(N_USERS + 1)), 5, True, True)
         assert replica_proto.probe_replica()["prewarm"]["sim_builds"] == builds_after_apply
@@ -158,11 +150,7 @@ class TestApplyEvent:
         model = _model()
         _install(model)
         replica_proto.query_slice(0, list(range(8)), 4, True, True)
-        replica_proto.apply_event(
-            replica_proto.ReplicationEvent(
-                kind="inject", epoch=1, user_id=N_USERS, profile=(0, 1)
-            )
-        )
+        replica_proto.apply_event(_inject(1, N_USERS, (0, 1)))
         ack = replica_proto.apply_event(
             replica_proto.ReplicationEvent(
                 kind="resync", epoch=2, model_blob=pickle.dumps(model)

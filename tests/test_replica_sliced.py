@@ -19,7 +19,12 @@ import pytest
 from repro.data import InteractionDataset
 from repro.errors import ConfigurationError, StaleReplicaError
 from repro.recsys import ItemKNN, MatrixFactorization, PopularityRecommender
-from repro.serving import RecommendationService, ServingConfig, ShardedRecommendationService
+from repro.serving import (
+    ProcessEngine,
+    RecommendationService,
+    ServingConfig,
+    ShardedRecommendationService,
+)
 from repro.serving import replica as replica_proto
 from repro.serving import shared_state
 from repro.serving.replica import InjectionRecord, ReplicationEvent
@@ -326,6 +331,31 @@ class TestSlicedServiceIntegration:
             # Every injected user is immediately servable, wherever routed.
             results = service.query(assigned, k=5)
             assert all(len(r) == 5 for r in results)
+
+    def test_full_replication_burst_is_one_replication_event(self):
+        """Full replicas coalesce a burst too: one event with every record,
+        one round trip, and the coordinator's pre-warmed similarity matrix
+        installed by every replica instead of rebuilt."""
+        model = ItemKNN().fit(_dataset())
+        oracle = RecommendationService(copy.deepcopy(model))
+        profiles = [[0, 1, 2], [3, 4], [5, 6, 7]]
+        config = ServingConfig(cache_capacity=32, replication="full")
+        with _service(model, config=config, engine=ProcessEngine(2)) as service:
+            epoch = service.epoch
+            builds = [probe["prewarm"]["sim_builds"] for probe in service.replica_probe()]
+            published = []
+            original = service.bus.publish
+            service.bus.publish = lambda event: (published.append(event), original(event))
+            assert service.inject_batch(profiles) == oracle.inject_batch(profiles)
+            assert [event.kind for event in published] == ["inject_batch"]
+            assert len(published[0].records) == 3
+            users = list(range(oracle.n_users))
+            for served, expected in zip(service.query(users, k=5), oracle.query(users, k=5)):
+                np.testing.assert_array_equal(served, expected)
+            probes = service.replica_probe()
+            assert [probe["epoch"] for probe in probes] == [epoch + 3] * 2
+            assert [probe["n_users"] for probe in probes] == [N_USERS + 3] * 2
+            assert [probe["prewarm"]["sim_builds"] for probe in probes] == builds
 
     def test_single_injection_rides_the_batched_path(self):
         with _service(_mf()) as service:

@@ -273,10 +273,13 @@ class TestReplicationStaleness:
             _model(), n_shards=2, engine="process"
         ) as service:
             skipped = replica_proto.ReplicationEvent(
-                kind="inject",
-                epoch=service.epoch + 2,  # skips epoch + 1
-                user_id=service.n_users,
-                profile=(0, 1, 2),
+                kind="inject_batch",
+                epoch=service.epoch + 2,  # one record, but skips epoch + 1
+                records=(
+                    replica_proto.InjectionRecord(
+                        user_id=service.n_users, profile=(0, 1, 2), owner_shard=0
+                    ),
+                ),
             )
             with pytest.raises(StaleReplicaError, match="out-of-order"):
                 service._engine.call(0, replica_proto.apply_event, skipped)

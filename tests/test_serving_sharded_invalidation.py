@@ -198,7 +198,8 @@ def test_bus_keeps_a_bounded_window_next_to_an_exact_count():
     bus.subscribe(delivered.append)
     n = 3 * RECENT_SAMPLES + 5
     for user_id in range(n - 10):
-        bus.publish(ReplicationEvent(kind="inject", epoch=user_id, user_id=user_id))
+        record = InjectionRecord(user_id=user_id, profile=(0,), owner_shard=0)
+        bus.publish(ReplicationEvent(kind="inject_batch", epoch=user_id, records=(record,)))
     burst = tuple(
         InjectionRecord(user_id=u, profile=(0,), owner_shard=0) for u in range(n - 10, n)
     )
