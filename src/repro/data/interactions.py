@@ -253,9 +253,10 @@ class InteractionDataset:
         Every derived structure — profile sets, read-only profile
         arrays, per-item user lists — is a deterministic function of
         ``_profiles`` and is rebuilt on load.  This keeps replication
-        payloads (model installs, resyncs, sliced shards) proportional
-        to users + interactions instead of carrying ``n_items`` empty
-        per-item lists for sparse slices of a large catalog.
+        payloads (model installs and re-installs, sliced shards)
+        proportional to users + interactions instead of carrying
+        ``n_items`` empty per-item lists for sparse slices of a large
+        catalog.
         """
         return {
             "name": self.name,

@@ -77,7 +77,7 @@ class ExperimentConfig:
     serving: ServingConfig | None = None
     # Deployment shape: n_shards > 1 fronts the model with a
     # ShardedRecommendationService (hash or consistent routing, per-shard
-    # caches/limiters, cross-shard invalidation bus).  Parity tests pin
+    # caches, one coordinator limiter, cross-shard invalidation bus).  Parity tests pin
     # the sharded deployment to single-service semantics, so every attack
     # scenario runs unchanged against it.
     n_shards: int = 1

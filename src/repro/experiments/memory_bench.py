@@ -15,8 +15,9 @@ production-scale catalog:
 * a **full-replication baseline** at the same scale, pinning how much
   the slicing saves (per-shard RSS under ``replication="full"`` carries
   the whole user base per worker);
-* a **resync payload probe**: the bytes a per-shard resync ships at two
-  catalog sizes with the user count held fixed — the payload must be
+* a **re-install payload probe** (the ``resync_payload`` report key):
+  the bytes a per-shard install or re-install ships at two catalog
+  sizes with the user count held fixed — the payload must be
   independent of catalog size (the item side never travels; it lives in
   the shared segments);
 * a **segment-leak check**: after every service closes, none of its
@@ -116,7 +117,7 @@ def _measure_deployment(
 
 
 def _slice_payload_bytes(model: MatrixFactorization, n_shards: int) -> int:
-    """Bytes of shard 0's install/resync slice payload."""
+    """Bytes of shard 0's install (and re-install) slice payload."""
     user_ids = np.arange(0, model.dataset.n_users, n_shards, dtype=np.int64)
     return len(pickle.dumps(model.slice_users(user_ids)))
 

@@ -8,9 +8,10 @@ Architecture (request order)::
 
 and, sharded (``ShardedRecommendationService``)::
 
-    client -> coordinator -> [shard_0 .. shard_{N-1}]   hash / consistent-hash
-                 |              each: RateLimiter + TopKCache
-                 +-- inject_batch() -> InvalidationBus -> every shard
+    client -> RateLimiter -> coordinator -> [shard_0 .. shard_{N-1}]
+                                  |           each: TopKCache
+                                  |           (hash / consistent-hash)
+                                  +-- inject_batch() -> InvalidationBus -> every shard
 
 See :mod:`repro.serving.service` for the composition,
 :mod:`repro.serving.sharded` for the multi-worker deployment,
@@ -18,9 +19,10 @@ See :mod:`repro.serving.service` for the composition,
 execution engines resolving per-shard work, :mod:`repro.serving.replica`
 for how a shard serves a slice (``ShardServer.serve_slice``, the one path
 for in-process shards and process replicas alike) and for the
-process-engine replication protocol (epoch-stamped ``inject_batch`` and
-``resync`` events — one event per injection burst — and pre-warm
-fan-out), :mod:`repro.serving.workload` for composable demand
+process-engine replication protocol (install and re-install — the one
+replica lifecycle, run again by every restore and promote — plus one
+epoch-stamped event per injection burst and pre-warm fan-out),
+:mod:`repro.serving.workload` for composable demand
 models, :mod:`repro.serving.traffic` for the organic-load benchmark
 harness, and :mod:`repro.serving.async_front` for the asyncio admission
 front (bounded queue, overload policies, queueing-latency metrics).

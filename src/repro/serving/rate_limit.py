@@ -10,9 +10,12 @@ of the attack surface; this module lets the reproduction express them.
 ``RateLimiter`` keeps one sliding window per ``(client, operation)`` pair.
 The clock is injectable so tests and deterministic experiment replays can
 drive logical time; by default wall-clock ``time.monotonic`` is used.
-Admission and reset are thread-safe (one internal lock): the sharded
-deployment's threaded engine admits requests from concurrent client
-threads against the same home-shard limiter.
+Admission and reset are thread-safe (one internal lock): under the
+sharded deployment's threaded engine, concurrent client threads admit
+against the coordinator's one limiter.  A limiter never crosses a
+process boundary (admission happens before fan-out), though it
+round-trips through ``pickle`` and ``copy.deepcopy`` like every serving
+component.
 """
 
 from __future__ import annotations
@@ -102,11 +105,13 @@ class RateLimiter:
     def __getstate__(self) -> dict:
         """Pickle policies, windows, and counters; not the in-process lock.
 
-        Process-engine workers receive the shard's limiter as part of
-        the replicated serving state, so the object must serialize; the
-        lock is recreated fresh on load.  A caller-supplied closure
-        ``clock`` would still fail to pickle — by design: deterministic
-        fake clocks are single-process test instruments.
+        No limiter crosses a process boundary (the coordinator admits
+        before fan-out), but like every serving component a limiter
+        round-trips through ``pickle`` and ``copy.deepcopy`` with its
+        windows and counters intact (``tests/test_pickling.py`` pins
+        both); the lock is recreated fresh on load.  A caller-supplied
+        closure ``clock`` would still fail to pickle — by design:
+        deterministic fake clocks are single-process test instruments.
         """
         state = self.__dict__.copy()
         del state["_lock"]

@@ -1,11 +1,12 @@
 """Worker-side shard replica protocol for the process execution engine.
 
 A process-engine worker shares no memory with the coordinator, so the
-shard it serves is a **replica**: the model, the shard's
-:class:`~repro.serving.cache.TopKCache` and its
-:class:`~repro.serving.service.ServiceStats` are serialized into the
-worker process at pool start (:func:`install_replica`) and kept in
-lockstep afterwards through explicit replication messages:
+shard it serves is a **replica**: the model (or, sliced, the shard's user
+slice over shared item state) is serialized into the worker process by
+:func:`install_replica` / :func:`install_replica_sliced`, which build the
+shard's :class:`~repro.serving.cache.TopKCache` and
+:class:`~repro.serving.service.ServiceStats` fresh, and the replica is
+kept in lockstep afterwards through explicit messages:
 
 * every injection — one sign-up or a whole burst — is one epoch-stamped
   ``inject_batch`` :class:`ReplicationEvent` carrying one
@@ -15,10 +16,11 @@ lockstep afterwards through explicit replication messages:
   (:meth:`~repro.recsys.base.Recommender.apply_prewarm`), a sliced
   replica appends only the users its shard owns; either way it advances
   its staleness clock and acknowledges the new epoch;
-* every episode restore is a ``resync`` event carrying the rolled-back
-  model (or, sliced, a :func:`resync_sliced` call carrying the shard's
-  rolled-back user slice), which replaces the replica and resets its
-  serving state;
+* every episode restore and every rollout promote re-installs the
+  replica at the new epoch through the same install function — there is
+  no second replica lifecycle.  A sliced re-install keeps the worker's
+  shared-memory attachment when the segments are the ones it already
+  maps;
 * every query slice carries the coordinator's current epoch, and a
   worker whose replica lags (or leads) raises
   :class:`~repro.errors.StaleReplicaError` instead of silently serving a
@@ -66,7 +68,6 @@ __all__ = [
     "install_replica_sliced",
     "query_slice",
     "apply_event",
-    "resync_sliced",
     "stage_rollout_replica",
     "unstage_rollout_replica",
     "probe_replica",
@@ -99,26 +100,20 @@ class InjectionRecord:
 
 @dataclass(frozen=True)
 class ReplicationEvent:
-    """One epoch-stamped state change broadcast to every shard.
+    """One epoch-stamped injection burst broadcast to every shard.
 
-    ``kind`` is ``"inject_batch"`` or ``"resync"``.  An ``inject_batch``
-    carries one :class:`InjectionRecord` per landed profile in
-    ``records`` (a single sign-up is a one-record batch, so one round
-    trip covers a whole burst) and, for full replicas, ``prewarm``: the
+    ``records`` holds one :class:`InjectionRecord` per landed profile (a
+    single sign-up is a one-record burst, so one round trip covers a
+    whole burst) and, for full replicas, ``prewarm`` carries the
     coordinator's lazy scoring caches, rebuilt once after the last
-    profile.  A ``resync`` is an episode restore: ``model_blob`` is the
-    pickled rolled-back model that replaces each full replica wholesale
-    (sliced replicas resync through :func:`resync_sliced`, and the event
-    only informs the bus).  ``epoch`` is the model version the event
-    produces; a replica must be at exactly ``epoch - len(records)`` to
-    apply a batch and acknowledges ``epoch`` once applied.
+    profile.  ``epoch`` is the model version the event produces; a
+    replica must be at exactly ``epoch - len(records)`` to apply it and
+    acknowledges ``epoch`` once applied.
     """
 
-    kind: str
     epoch: int
     records: tuple[InjectionRecord, ...] = ()
     prewarm: object = None
-    model_blob: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -340,8 +335,8 @@ class _ReplicaState(ShardServer):
         # Versioned-rollout window state: a staged candidate model (always
         # a *full* model — global ids score directly, even on a sliced
         # replica) and this shard's role in the window.  Transient by
-        # design: promote replaces the replica wholesale via resync,
-        # rollback unstages, and any resync clears both.
+        # design: rollback unstages, and promote and restore re-install a
+        # fresh replica without either.
         self.staged_model: "Recommender | None" = None
         self.rollout_role: str | None = None  # "canary" | "shadow" | None
 
@@ -350,7 +345,7 @@ class _ReplicaState(ShardServer):
 
         A sliced replica's own dataset holds only its shard's users; the
         coordinator's epoch verification compares against the *global*
-        count, which the replica mirrors through install/inject/resync.
+        count, which the replica mirrors through install and inject.
         """
         if self.mode == "sliced":
             return int(self.n_users_global)
@@ -416,14 +411,6 @@ class _ReplicaState(ShardServer):
         if self.mode == "full":
             self.model.apply_prewarm(event.prewarm)
         self.epoch = event.epoch
-
-    def resync(self, epoch: int) -> ReplicaAck:
-        """Serve the just-swapped-in model from a clean state at ``epoch``."""
-        self.reset()
-        self.staged_model = None
-        self.rollout_role = None
-        self.epoch = epoch
-        return self.ack()
 
     def cache_snapshot(self) -> CacheSnapshot | None:
         if self.cache is None:
@@ -500,7 +487,9 @@ def install_replica_sliced(
     profiles) — catalog-sized arrays arrive by mapping the coordinator's
     shared-memory segments named in ``handle``, so install payload and
     per-worker RSS stay proportional to the shard's user count, not the
-    catalog.
+    catalog.  A re-install (episode restore, rollout promote) names the
+    segments this worker already maps — the coordinator republished into
+    them — so the current attachment is kept rather than mapped again.
     """
     global _REPLICA
     model = pickle.loads(slice_blob)
@@ -511,7 +500,9 @@ def install_replica_sliced(
         epoch=epoch,
         shard_latency_s=shard_latency_s,
     )
-    state.attached = shared_state.attach(handle)
+    state.attached = getattr(_REPLICA, "attached", None)
+    if state.attached is None or state.attached.handle != handle:
+        state.attached = shared_state.attach(handle)
     model.attach_shared_item_state(state.attached.views)
     state.enter_sliced(model, np.asarray(user_ids, dtype=np.int64), n_users_global)
     _REPLICA = state
@@ -556,39 +547,10 @@ def query_slice(
 
 
 def apply_event(event: ReplicationEvent) -> ReplicaAck:
-    """Apply one replication event to this worker's replica."""
+    """Apply one injection burst to this worker's replica."""
     state = _require_replica()
-    if event.kind == "inject_batch":
-        state.apply_injections(event)
-        return state.ack()
-    if event.kind == "resync":
-        state.model = pickle.loads(event.model_blob)
-        state.mode = "full"
-        state.serving_model = state.model
-        return state.resync(event.epoch)
-    raise ConfigurationError(f"unknown replication event kind {event.kind!r}")
-
-
-def resync_sliced(
-    epoch: int,
-    slice_blob: bytes,
-    user_ids: np.ndarray,
-    n_users_global: int,
-) -> ReplicaAck:
-    """Episode restore for a sliced replica: swap in the rolled-back slice.
-
-    The worker keeps its shared-memory attachments — the coordinator
-    republished the rolled-back item state into the *same* segments
-    before this call — so the resync payload is one user slice,
-    independent of catalog size.
-    """
-    state = _require_replica()
-    if state.attached is None:
-        raise ConfigurationError("resync_sliced requires a sliced replica")
-    model = pickle.loads(slice_blob)
-    model.attach_shared_item_state(state.attached.views)
-    state.enter_sliced(model, np.asarray(user_ids, dtype=np.int64), n_users_global)
-    return state.resync(epoch)
+    state.apply_injections(event)
+    return state.ack()
 
 
 def stage_rollout_replica(model_blob: bytes, role: str, expected_epoch: int) -> ReplicaAck:

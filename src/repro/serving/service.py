@@ -77,8 +77,9 @@ class ServingConfig:
     # How process-engine replicas hold model state: "sliced" partitions
     # per-user state by shard and shares the item side through
     # multiprocessing.shared_memory (per-shard memory sublinear in user
-    # count; resync ships one user slice, not a full pickle), "full"
-    # replicates the whole model per shard (the pre-slicing behaviour).
+    # count; an install or re-install ships one user slice, not a full
+    # pickle), "full" replicates the whole model per shard (the
+    # pre-slicing behaviour).
     # Models that do not support slicing fall back to full replication;
     # in-memory engines share one model and ignore this field.
     replication: str = "sliced"
@@ -143,11 +144,13 @@ class ServiceStats:
     )
 
     def __getstate__(self) -> dict:
-        """Pickle counters only: thread locks cannot cross process bounds.
+        """Pickle counters only: thread locks cannot be pickled or copied.
 
-        Process-engine workers receive their ``ServiceStats`` as part of
-        the replicated shard state, so the object must serialize; the
-        lock is an in-process concern and is recreated fresh on load.
+        No ``ServiceStats`` crosses a process boundary — a worker replica
+        builds its own — but like every serving component the stats
+        round-trip through ``pickle`` and ``copy.deepcopy`` with their
+        counters intact (``tests/test_pickling.py`` pins both).  The lock
+        is an in-process concern and is recreated fresh on load.
         """
         state = self.__dict__.copy()
         del state["_lock"]
@@ -412,19 +415,27 @@ class RecommendationService:
         start = self._clock()
         users = np.asarray(user_ids, dtype=np.int64)
         profiler = self.profiler
-        t0 = time.perf_counter() if profiler is not None else 0.0
-        try:
-            self.limiter.admit_query(client, int(users.size))
-        except RateLimitExceededError:
-            self.stats.record_rate_limited()
-            raise
-        if profiler is not None:
-            profiler.add("admission", time.perf_counter() - t0, int(users.size))
+        self._admit_query(client, int(users.size), profiler)
         n_scored, results = resolve_slice(
             self._model, self.cache, users, k, exclude_seen, use_cache, profiler=profiler
         )
         self.stats.record_request(int(users.size), n_scored, self._clock() - start)
         return list(results)
+
+    def _admit_query(self, client: str, n_users: int, profiler) -> None:
+        """Admit one query on the limiter; quota denials are counted by cause.
+
+        The one admission step for both deployments: the sharded
+        coordinator runs it once per request, before any fan-out.
+        """
+        t0 = time.perf_counter() if profiler is not None else 0.0
+        try:
+            self.limiter.admit_query(client, n_users)
+        except RateLimitExceededError:
+            self.stats.record_rate_limited()
+            raise
+        if profiler is not None:
+            profiler.add("admission", time.perf_counter() - t0, n_users)
 
     def inject(self, profile: Sequence[int], client: str = "default") -> int:
         """Register a new user profile, subject to throttles and screening."""
@@ -446,7 +457,7 @@ class RecommendationService:
         try:
             for profile in profiles:
                 try:
-                    self._admit_injection(client)
+                    self.limiter.admit_injection(client)
                 except RateLimitExceededError:
                     self.stats.record_rate_limited()
                     raise
@@ -465,11 +476,7 @@ class RecommendationService:
                 self._invalidate_after_injections(assigned)
         return assigned
 
-    # -- injection pipeline hooks (overridden by the sharded deployment) ------
-    def _admit_injection(self, client: str) -> None:
-        """Route the injection admission to the client's quota state."""
-        self.limiter.admit_injection(client)
-
+    # -- injection pipeline hooks ---------------------------------------------
     def _screen_profile(self, profile: Sequence[int]) -> float | None:
         """Optional online-detector screening at the injection boundary.
 

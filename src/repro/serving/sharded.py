@@ -2,8 +2,8 @@
 
 A production platform at the ROADMAP's target scale does not serve every
 user from one process: the user base is partitioned across worker shards,
-each holding its own result cache and quota state, with a thin
-coordinator that fans batched queries out and merges the results.  This
+each holding its own result cache, with a thin coordinator that admits
+requests, fans batched queries out and merges the results.  This
 module models that deployment while **pinning its externally observable
 behaviour to the single-service semantics** of
 :class:`~repro.serving.service.RecommendationService` (the
@@ -13,9 +13,7 @@ element-wise identical top-k lists and counters under every engine):
 * **routing** — users map to shards by stable hash
   (:class:`ShardRouter`) or over a consistent-hash ring
   (:class:`ConsistentHashRouter`, which moves only ~1/n of the keys when
-  a shard is added).  A client's quota state lives on one home shard, so
-  per-shard rate limiting is observationally identical to a global
-  limiter.
+  a shard is added).
 * **per-shard caches** — each shard owns an LRU
   :class:`~repro.serving.cache.TopKCache`.  Because duplicate users in a
   request always route to the same shard, per-request dedup/batching
@@ -64,8 +62,13 @@ worker, then gather, verify and mirror):
   (:meth:`~repro.recsys.base.Recommender.prewarm` — built exactly once
   per burst, installed verbatim by every replica instead of N duplicate
   rebuilds);
-* every restore publishes a ``resync`` event shipping the rolled-back
-  model wholesale (sliced replication ships each shard its user slice);
+* every restore (and every rollout promote) bumps the epoch and
+  re-installs every replica exactly as construction installed it
+  (:meth:`ShardedRecommendationService._install_replicas`): full
+  replication ships one pre-warmed pickled model, sliced replication
+  republishes the item side into the existing shared segments and
+  ships each shard its user slice — re-installation is the only
+  replica lifecycle;
 * every query slice carries the coordinator's epoch, and a replica
   whose state lags raises
   :class:`~repro.errors.StaleReplicaError` instead of silently serving
@@ -77,16 +80,18 @@ worker, then gather, verify and mirror):
   into coordinator-side mirror shards, so reports and the
   engine-conformance counters are identical across engines.
 
-Client admission (rate limiting) happens only at the coordinator front
-door, in every mode: a client's admissions must serialize *before*
-fan-out for per-shard quota state to be observationally identical to
-one global limiter, so the home-shard limiters here are the only ones.
+Client admission (rate limiting) happens once, at the coordinator front
+door, through the inherited
+:attr:`~repro.serving.service.RecommendationService.limiter` — the same
+admission code the single service runs, before any fan-out, in every
+mode — so quota state and denial counts are the single service's by
+construction.  Shards and worker replicas hold no limiter.
 
 Thread-safety contract (what makes the threaded engine correct):
 
-* every piece of per-shard mutable state — the shard's cache, its quota
-  windows, its :class:`~repro.serving.service.ServiceStats` — is guarded
-  by that shard's lock and touched only while it is held (by the worker
+* every piece of per-shard mutable state — the shard's cache and its
+  :class:`~repro.serving.service.ServiceStats` — is guarded by that
+  shard's lock and touched only while it is held (by the worker
   resolving the shard's slice, by bus-driven invalidations, and by
   episode restores);
 * the model is shared read-only on the query path; injections and
@@ -116,18 +121,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    RateLimitExceededError,
-    RolloutError,
-    StaleReplicaError,
-)
+from repro.errors import ConfigurationError, RolloutError, StaleReplicaError
 from repro.serving import replica as replica_proto
 from repro.serving import shared_state
 from repro.serving.cache import CacheStats
 from repro.serving.engine import ExecutionEngine, ReadWriteLock, make_engine
 from repro.serving.metrics import push_recent
-from repro.serving.rate_limit import UNLIMITED, RateLimiter
 from repro.serving.replica import (
     CacheSnapshot,
     InjectionRecord,
@@ -186,7 +185,7 @@ def _stable_hash_array(user_ids: np.ndarray) -> np.ndarray:
 
 
 class ShardRouter:
-    """Stable modulo-hash routing of users and clients to shards."""
+    """Stable modulo-hash routing of users to shards."""
 
     def __init__(self, n_shards: int) -> None:
         if n_shards <= 0:
@@ -205,10 +204,6 @@ class ShardRouter:
         """
         hashes = _stable_hash_array(np.asarray(user_ids, dtype=np.int64))
         return (hashes % np.uint32(self.n_shards)).astype(np.int64)
-
-    def shard_for_client(self, client: str) -> int:
-        """Home shard holding the client's rate-limiter state."""
-        return _stable_hash(client) % self.n_shards
 
 
 class ConsistentHashRouter(ShardRouter):
@@ -268,9 +263,6 @@ class ConsistentHashRouter(ShardRouter):
         index = np.searchsorted(self._ring_hash_array, hashes, side="left")
         index[index == self._ring_hash_array.size] = 0  # wrap around the ring
         return self._ring_shard_array[index]
-
-    def shard_for_client(self, client: str) -> int:
-        return self._locate(_stable_hash(client))
 
 
 def group_by_shard(
@@ -334,13 +326,11 @@ class InvalidationBus:
     under the process engine the coordinator then forwards the event
     into every worker and waits for the epoch acknowledgements.
 
-    ``events``/``n_deliveries`` track *injection* fan-out (one count per
-    injected user per subscriber) so tests and reports can assert it;
-    ``n_resyncs`` counts restore-driven resync broadcasts separately
-    (episode control, not episode-observable traffic).  ``events`` keeps
-    only the latest :data:`~repro.serving.metrics.RECENT_SAMPLES`
-    injected user ids (a ring, in rotated order once full); ``n_events``
-    counts every one.
+    ``events``/``n_deliveries`` track injection fan-out (one count per
+    injected user per subscriber) so tests and reports can assert it.
+    ``events`` keeps only the latest
+    :data:`~repro.serving.metrics.RECENT_SAMPLES` injected user ids (a
+    ring, in rotated order once full); ``n_events`` counts every one.
     """
 
     def __init__(self) -> None:
@@ -350,14 +340,11 @@ class InvalidationBus:
         self.n_events = 0  # every published injection
         self._events_cursor = 0  # next ring slot once ``events`` is full
         self.n_deliveries = 0
-        self.n_resyncs = 0
 
     def subscribe(self, callback: Callable[[ReplicationEvent], None]) -> None:
         self._subscribers.append(callback)
 
     def publish(self, event: ReplicationEvent) -> None:
-        if event.kind == "resync":
-            self.n_resyncs += 1
         for record in event.records:
             self.n_events += 1
             self._events_cursor = push_recent(
@@ -377,11 +364,10 @@ class InvalidationBus:
         self.n_events = 0
         self._events_cursor = 0
         self.n_deliveries = 0
-        self.n_resyncs = 0
 
 
 class _WorkerShard(replica_proto.ShardServer):
-    """One worker: its cache, its quota state, its serving counters.
+    """One worker: its cache and its serving counters.
 
     ``lock`` guards every mutable field; the engine worker resolving this
     shard's slice, bus-driven invalidations, and episode restores all
@@ -392,29 +378,17 @@ class _WorkerShard(replica_proto.ShardServer):
     set): the cache here holds no entries — the replica's counters are
     shipped back with every slice result and replication ack and folded
     in via :meth:`apply_snapshot`, so reporting reads one shape of shard
-    regardless of engine.  The limiter is always coordinator-side and
-    authoritative (admission happens before fan-out).
+    regardless of engine.  Admission is the coordinator's alone (it
+    happens before fan-out), so a shard holds no limiter.
     """
 
-    def __init__(
-        self,
-        index: int,
-        config: ServingConfig,
-        per_client_policies: dict,
-        limiter_kwargs: dict,
-        n_items: int | None = None,
-    ) -> None:
+    def __init__(self, index: int, config: ServingConfig, n_items: int | None = None) -> None:
         super().__init__(index, config, n_items)
         self.lock = Lock()
         # repro-lint: disable=RL004 -- deployment topology, not episode state
         self.remote = False
         self.n_replica_entries = 0  # guarded-by: lock (replica cache size, remote mirrors only)
         self._snapshot_seq = -1  # guarded-by: lock (newest replica snapshot folded in)
-        self.limiter = RateLimiter(
-            default_policy=config.default_policy,
-            per_client=per_client_policies,
-            **limiter_kwargs,
-        )
 
     def on_event(self, event: ReplicationEvent) -> None:
         """Bus callback: advance the staleness clock once per injected user."""
@@ -447,7 +421,6 @@ class _WorkerShard(replica_proto.ShardServer):
         """Return every counter and entry to the freshly-constructed state."""
         with self.lock:
             super().reset()
-            self.limiter.reset()
             self.n_replica_entries = 0
             # Without this, a mirror that saw snapshot seq N before the
             # reset would drop every post-reset snapshot up to seq N —
@@ -484,6 +457,12 @@ class _WorkerShard(replica_proto.ShardServer):
 class ShardedRecommendationService(RecommendationService):
     """Coordinator + N worker shards with single-service semantics.
 
+    The coordinator *is* a :class:`RecommendationService`: the inherited
+    limiter admits every query and injection, the inherited stats,
+    detector screening, per-profile injection loop and snapshot checks
+    serve the fleet unchanged, and only the single-node cache goes
+    unused (each shard owns one instead).
+
     Parameters
     ----------
     model:
@@ -493,11 +472,10 @@ class ShardedRecommendationService(RecommendationService):
         Number of worker shards (1 is legal and useful as the scaling
         baseline).
     config:
-        The :class:`ServingConfig` posture, applied per shard: each shard
-        gets its own cache of ``cache_capacity`` entries and its own
-        limiter with the same policies.  Because a client's admissions all
-        land on its home shard and a user's cache keys all land on its
-        owning shard, behaviour matches one global cache/limiter
+        The :class:`ServingConfig` posture.  Quota policies apply at the
+        coordinator's one limiter; each shard gets its own cache of
+        ``cache_capacity`` entries.  Because a user's cache keys all land
+        on its owning shard, behaviour matches one global cache
         (eviction order under capacity pressure is the one documented
         divergence — per-shard LRU is local).
     routing:
@@ -536,10 +514,8 @@ class ShardedRecommendationService(RecommendationService):
         super().__init__(
             model, config=config, detector=detector, clock=clock, limiter_clock=limiter_clock
         )
-        # Note: the coordinator's own cache is disabled via _make_cache
-        # (shards hold the caches); self.limiter stays as the policy
-        # registry (policy_for), but admission always routes to the
-        # client's home-shard limiter.
+        # The coordinator's own cache is disabled via _make_cache (shards
+        # hold the caches); self.limiter admits for the whole fleet.
         if isinstance(routing, ShardRouter):
             if routing.n_shards != n_shards:
                 raise ConfigurationError(
@@ -602,18 +578,18 @@ class ShardedRecommendationService(RecommendationService):
             #: ``{"version", "reason", "auto"}`` — None when no rollback
             #: happened since construction / the last stage / restore.
             self.last_rollout_rollback: dict | None = None
-            limiter_kwargs = {} if limiter_clock is None else {"clock": limiter_clock}
-            per_client = dict(self.config.client_policies)
-            per_client.setdefault("evaluator", UNLIMITED)
             self.bus = InvalidationBus()
-            n_items = model.dataset.n_items
             self.shards = [
-                _WorkerShard(i, self.config, per_client, limiter_kwargs, n_items=n_items)
+                _WorkerShard(i, self.config, n_items=model.dataset.n_items)
                 for i in range(n_shards)
             ]
             for shard in self.shards:
                 shard.remote = self._remote
                 self.bus.subscribe(shard.on_event)
+            if self._sliced:
+                # Created once: every (re)install republishes into these
+                # segments, so workers keep their attachments.
+                self._shared_store = shared_state.SharedItemStore(model.shared_item_state())
             if self._remote:
                 self._install_replicas()
         except Exception:
@@ -644,7 +620,12 @@ class ShardedRecommendationService(RecommendationService):
 
     # -- replication (process engine) -----------------------------------------
     def _install_replicas(self) -> None:
-        """Serialize each shard's state into its worker at pool start.
+        """(Re)install every worker's replica of the coordinator's model.
+
+        The one replica lifecycle: construction installs, and every
+        restore or promote re-installs at the new epoch, so a replica
+        always starts from a fresh cache, fresh stats and no staged
+        candidate.
 
         Full mode: the model is pickled once and shipped to every worker
         together with the serving config (from which the worker rebuilds
@@ -655,13 +636,15 @@ class ShardedRecommendationService(RecommendationService):
         rebuild on its first slice.
 
         Sliced mode (``config.replication == "sliced"`` and the model
-        supports it): the item side is published once into shared-memory
-        segments and each worker receives only its shard's user slice
-        plus the segment handle — per-worker install payload and RSS are
-        proportional to the shard's user count, not N full models.
+        supports it): *all* item state is republished into the
+        shared-memory segments created at construction (a rollback or
+        promote replaces model arrays wholesale) and each worker receives
+        only its shard's user slice plus the segment handle, keeping its
+        existing attachment — per-worker payload and RSS are proportional
+        to the shard's user count, not N full models or the catalog.
         """
         if self._sliced:
-            self._shared_store = shared_state.SharedItemStore(self._model.shared_item_state())
+            self._shared_store.publish(self._model.shared_item_state())
             head = (self._shared_store.handle(), self.config, self._epoch, self.shard_latency_s)
             n_users = self._model.dataset.n_users
             self._round_trip(
@@ -719,19 +702,6 @@ class ShardedRecommendationService(RecommendationService):
                 f"{self._model.dataset.n_users} users"
             )
 
-    def _replicate(self, event: ReplicationEvent) -> None:
-        """Broadcast one state change: bus first, then all workers at once.
-
-        The bus fan-out ticks every coordinator-side mirror (and records
-        the event for observability); under the process engine the event
-        then reaches every worker in one parallel round trip while the
-        write lock is held.
-        """
-        self.bus.publish(event)
-        if self._remote:
-            calls = [(i, (event,)) for i in range(self.n_shards)]
-            self._round_trip(replica_proto.apply_event, calls)
-
     def replica_probe(self) -> list[dict]:
         """Diagnostic view of every worker replica (process engine only)."""
         if not self._remote:
@@ -745,9 +715,6 @@ class ShardedRecommendationService(RecommendationService):
         self.close()
 
     # -- routing helpers ------------------------------------------------------
-    def _limiter_for_client(self, client: str) -> RateLimiter:
-        return self.shards[self.router.shard_for_client(client)].limiter
-
     def shard_of(self, user_id: int) -> int:
         """Which worker owns this user's cache keys (test/report helper)."""
         return self.router.shard_for_user(user_id)
@@ -763,8 +730,8 @@ class ShardedRecommendationService(RecommendationService):
     ) -> list[np.ndarray]:
         """Fan one batched request out to the owning shards and merge.
 
-        Admission happens once, on the client's home shard, exactly as a
-        global limiter would count it.  Each shard then resolves its slice
+        Admission happens once, on the coordinator's limiter, exactly as
+        the single service admits.  Each shard then resolves its slice
         of the request against its own cache and folds the misses into
         one ``top_k_batch`` call — sequentially or concurrently depending
         on the configured engine — and merged results come back in
@@ -889,17 +856,6 @@ class ShardedRecommendationService(RecommendationService):
             profiler.add("routing", time.perf_counter() - t0, n_users)
         return order, slices
 
-    def _admit_query(self, client: str, n_users: int, profiler) -> None:
-        """Home-shard admission; quota denials are counted by cause."""
-        t0 = time.perf_counter() if profiler is not None else 0.0
-        try:
-            self._limiter_for_client(client).admit_query(client, n_users)
-        except RateLimitExceededError:
-            self.stats.record_rate_limited()
-            raise
-        if profiler is not None:
-            profiler.add("admission", time.perf_counter() - t0, n_users)
-
     def _slice_tasks(
         self, slices, rollout: RolloutController | None, k: int, exclude_seen: bool, use_cache: bool
     ) -> list[Callable[[], SliceResult]]:
@@ -1010,9 +966,6 @@ class ShardedRecommendationService(RecommendationService):
             self._check_no_rollout("inject")
             return super().inject_batch(profiles, client=client)
 
-    def _admit_injection(self, client: str) -> None:
-        self._limiter_for_client(client).admit_injection(client)
-
     def _invalidate_after_injections(self, user_ids: list[int]) -> None:
         """Advance the epoch, refresh derived state once, and replicate.
 
@@ -1029,6 +982,12 @@ class ShardedRecommendationService(RecommendationService):
         N rebuilds.  Under the serial engine the rebuild stays lazy (the
         historical cost profile: a burst with no interleaved query pays
         one rebuild at the next query).
+
+        The burst then replicates as one event: the bus fan-out ticks
+        every coordinator-side mirror (and records the event for
+        observability), and under the process engine the event reaches
+        every worker in one parallel round trip while the write lock is
+        held.
         """
         self._epoch += len(user_ids)
         prewarm = None
@@ -1048,11 +1007,11 @@ class ShardedRecommendationService(RecommendationService):
             )
             for user_id in user_ids
         )
-        self._replicate(
-            ReplicationEvent(
-                kind="inject_batch", epoch=self._epoch, records=records, prewarm=prewarm
-            )
-        )
+        event = ReplicationEvent(epoch=self._epoch, records=records, prewarm=prewarm)
+        self.bus.publish(event)
+        if self._remote:
+            calls = [(i, (event,)) for i in range(self.n_shards)]
+            self._round_trip(replica_proto.apply_event, calls)
 
     # -- episode management ---------------------------------------------------
     def snapshot(self):
@@ -1070,20 +1029,19 @@ class ShardedRecommendationService(RecommendationService):
     def restore(self, snapshot) -> None:
         """Roll back the model, then reset every shard to a clean episode.
 
-        Beyond the base-service reset (coordinator stats, flagged
-        injections), every per-shard cache is flushed *and* its counters
-        zeroed, per-shard limiter windows and denial counts clear, every
-        shard's request stats (the makespan/speedup inputs) zero, and the
-        invalidation bus forgets its delivered history — so no report can
+        Beyond the base-service reset (the limiter's windows and denial
+        counts, coordinator stats, flagged injections), every per-shard
+        cache is flushed *and* its counters zeroed, every shard's request
+        stats (the makespan/speedup inputs) zero, and the invalidation
+        bus forgets its delivered history — so no report can
         double-count work from before the reset.
 
         Under the process engine the rollback must also cross the
-        process boundary: the restore bumps the epoch and publishes a
-        ``resync`` replication event carrying the rolled-back model, so
-        every worker replaces its replica wholesale and acknowledges the
-        new version before the next query can start.  The bus history is
-        cleared *after* the resync broadcast — episode control leaves no
-        trace, exactly like the in-memory reset.
+        process boundary: the restore bumps the epoch and re-installs
+        every replica from the rolled-back model (:meth:`_install_replicas`,
+        the same path construction takes), and every worker acknowledges
+        the new version before the next query can start.  Episode control
+        publishes nothing on the bus, exactly like the in-memory reset.
         """
         with self._model_lock.write():
             self._check_no_rollout("restore")
@@ -1099,37 +1057,15 @@ class ShardedRecommendationService(RecommendationService):
         and :meth:`promote_rollout` (the model just moved forward):
         either way the fleet must be indistinguishable from one freshly
         constructed around ``self._model`` — shard caches flushed and
-        counters zeroed, limiter windows clear, shard stats zero, the
-        epoch advanced, replicas resynced wholesale, and the bus history
-        forgotten.  Caller holds the model write lock.
+        counters zeroed, shard stats zero, the epoch advanced, replicas
+        re-installed, and the bus history forgotten.  Caller holds the
+        model write lock.
         """
         for shard in self.shards:
             shard.reset()
         self._epoch += 1
-        if self._sliced:
-            # *All* shared item state is republished (not just
-            # injection-dirty arrays): the model arrays were replaced
-            # wholesale and parameter-derived caches (NeuralCF's fused
-            # tensor) invalidated.  Each worker then receives only its
-            # shard's user slice — a payload independent of catalog size.
-            self._shared_store.publish(self._model.shared_item_state())
-            self.bus.publish(ReplicationEvent(kind="resync", epoch=self._epoch))
-            n_users = self._model.dataset.n_users
-            self._round_trip(
-                replica_proto.resync_sliced,
-                ((i, (self._epoch, blob, ids, n_users)) for i, blob, ids in self._user_slices()),
-            )
-        elif self._remote:
-            # Ship the model warm (a rollback drops lazy caches, a
-            # promote may stage them cold), so no replica pays a rebuild.
-            self._model.prewarm()
-            self._replicate(
-                ReplicationEvent(
-                    kind="resync",
-                    epoch=self._epoch,
-                    model_blob=pickle.dumps(self._model),
-                )
-            )
+        if self._remote:
+            self._install_replicas()
         self.bus.reset()
 
     # -- versioned rollout -----------------------------------------------------
@@ -1241,10 +1177,11 @@ class ShardedRecommendationService(RecommendationService):
 
         The staged model replaces the serving model and the whole fleet
         resets around it exactly as :meth:`restore` resets around a
-        rolled-back model — caches, limiters, stats, bus history, and
-        replica state all return to the freshly-deployed baseline, so a
-        promoted fleet is indistinguishable from one constructed fresh
-        on the candidate (the rollout-conformance suite pins this).
+        rolled-back model — caches, the limiter, stats, bus history, and
+        re-installed replicas all return to the freshly-deployed
+        baseline, so a promoted fleet is indistinguishable from one
+        constructed fresh on the candidate (the rollout-conformance suite
+        pins this).
         Returns the now-active version number.
         """
         with self._model_lock.write():

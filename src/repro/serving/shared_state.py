@@ -224,13 +224,15 @@ class AttachedSharedState:
     """Worker-side read-only mapping of a :class:`SharedStateHandle`.
 
     ``views`` is the name → ndarray mapping handed to
-    :meth:`~repro.recsys.base.Recommender.attach_shared_item_state`.
-    The worker keeps the attachment for its whole lifetime (resyncs
-    re-attach the same views to the fresh slice); segments are unlinked
-    only by the owning coordinator.
+    :meth:`~repro.recsys.base.Recommender.attach_shared_item_state`;
+    ``handle`` is the handle it maps.  The worker keeps the attachment
+    for its whole lifetime: a re-install naming the same handle attaches
+    the same views to the fresh slice.  Segments are unlinked only by
+    the owning coordinator.
     """
 
     def __init__(self, handle: SharedStateHandle) -> None:
+        self.handle = handle
         self._segments: list[shared_memory.SharedMemory] = []
         self.views: dict[str, np.ndarray] = {}
         for key, spec in handle.segments:

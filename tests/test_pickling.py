@@ -163,15 +163,13 @@ class TestServingComponentRoundTrips:
 
     def test_replication_event(self):
         event = ReplicationEvent(
-            kind="inject_batch",
             epoch=3,
             records=(InjectionRecord(user_id=41, profile=(1, 2, 3), owner_shard=0),),
             prewarm={"sim": np.eye(2)},
         )
         clone = pickle.loads(pickle.dumps(event))
         (record,) = clone.records
-        assert (clone.kind, clone.epoch, record.user_id, record.profile) == (
-            "inject_batch",
+        assert (clone.epoch, record.user_id, record.profile) == (
             3,
             41,
             (1, 2, 3),

@@ -4,7 +4,7 @@ The process engine executes :mod:`repro.serving.replica` inside worker
 processes; these tests drive the same module-level functions directly in
 the test process (the replica registry is just module state), so every
 protocol branch — install, epoch-checked queries, in-order event
-application, resync, probes — is pinned without scheduling noise and is
+application, re-install, probes — is pinned without scheduling noise and is
 visible to in-process coverage.  The cross-process behaviour of the very
 same functions is exercised by the engine-conformance suite and the
 process-engine stress/property tests.
@@ -48,9 +48,7 @@ def clean_registry():
 def _inject(epoch, user_id, profile, prewarm=None):
     """A one-record injection event: how every deployment replicates a sign-up."""
     record = replica_proto.InjectionRecord(user_id=user_id, profile=profile, owner_shard=0)
-    return replica_proto.ReplicationEvent(
-        kind="inject_batch", epoch=epoch, records=(record,), prewarm=prewarm
-    )
+    return replica_proto.ReplicationEvent(epoch=epoch, records=(record,), prewarm=prewarm)
 
 
 def _install(model, config=None, epoch=0, latency=0.0):
@@ -151,22 +149,11 @@ class TestApplyEvent:
         _install(model)
         replica_proto.query_slice(0, list(range(8)), 4, True, True)
         replica_proto.apply_event(_inject(1, N_USERS, (0, 1)))
-        ack = replica_proto.apply_event(
-            replica_proto.ReplicationEvent(
-                kind="resync", epoch=2, model_blob=pickle.dumps(model)
-            )
-        )
+        ack = _install(model, epoch=2)
         assert ack.epoch == 2 and ack.model_n_users == N_USERS
         assert ack.cache.n_entries == 0
         assert ack.cache.hits == 0 and ack.cache.misses == 0
         assert replica_proto.probe_replica()["n_requests"] == 0
-
-    def test_unknown_kind_rejected(self):
-        _install(_model())
-        with pytest.raises(ConfigurationError, match="unknown replication"):
-            replica_proto.apply_event(
-                replica_proto.ReplicationEvent(kind="gossip", epoch=1)
-            )
 
 
 def test_probe_reports_the_full_replica_view():

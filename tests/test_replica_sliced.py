@@ -60,18 +60,22 @@ def clean_registry():
 def _install_sliced(model, user_ids, shard_index=0, epoch=0):
     """Install a sliced replica in-process; returns (store, ack)."""
     store = shared_state.SharedItemStore(model.shared_item_state())
+    return store, _reinstall_sliced(model, user_ids, store.handle(), shard_index, epoch)
+
+
+def _reinstall_sliced(model, user_ids, handle, shard_index=0, epoch=0):
+    """Install a sliced replica over an existing store's ``handle``."""
     user_ids = np.asarray(user_ids, dtype=np.int64)
-    ack = replica_proto.install_replica_sliced(
+    return replica_proto.install_replica_sliced(
         shard_index,
         pickle.dumps(model.slice_users(user_ids)),
         user_ids,
-        store.handle(),
+        handle,
         ServingConfig(cache_capacity=16),
         epoch,
         0.0,
         model.dataset.n_users,
     )
-    return store, ack
 
 
 class TestSlicedInstallAndQuery:
@@ -137,11 +141,7 @@ class TestSlicedInjectBatch:
                     user_state=model.user_state(uid),
                 )
             )
-        return ReplicationEvent(
-            kind="inject_batch",
-            epoch=epoch_base + len(records),
-            records=tuple(records),
-        )
+        return ReplicationEvent(epoch=epoch_base + len(records), records=tuple(records))
 
     def test_owner_shard_appends_and_serves_the_new_user(self):
         model = _mf()
@@ -202,7 +202,6 @@ class TestSlicedInjectBatch:
         store, _ = _install_sliced(model, np.arange(N_USERS))
         try:
             bad = ReplicationEvent(
-                kind="inject_batch",
                 epoch=1,
                 records=(
                     InjectionRecord(
@@ -229,7 +228,6 @@ class TestSlicedInjectBatch:
         uid_b = model.add_user([2, 3])
         ack = replica_proto.apply_event(
             ReplicationEvent(
-                kind="inject_batch",
                 epoch=2,
                 records=(
                     InjectionRecord(uid_a, (0, 1), owner_shard=0),
@@ -252,11 +250,9 @@ class TestSlicedResync:
                 model, [[0, 1]], owner_shard=0
             )
             replica_proto.apply_event(event)
-            # Roll the coordinator back and reship the slice.
+            # Roll the coordinator back and re-install the slice.
             model.restore((_dataset(), base_factors))
-            ack = replica_proto.resync_sliced(
-                2, pickle.dumps(model.slice_users(owned)), owned, N_USERS
-            )
+            ack = _reinstall_sliced(model, owned, store.handle(), epoch=2)
             assert ack.epoch == 2 and ack.model_n_users == N_USERS
             assert ack.cache.n_entries == 0 and ack.cache.version == 0
             result = replica_proto.query_slice(2, [0, 1], 5, True, True)
@@ -266,15 +262,31 @@ class TestSlicedResync:
         finally:
             store.close()
 
-    def test_resync_sliced_requires_a_sliced_replica(self):
+    def test_reinstall_keeps_the_attachment_for_the_same_handle(self):
+        """A re-install naming the segments the worker already maps keeps
+        its attachment; a new store's handle gets a new one."""
         model = _mf()
-        replica_proto.install_replica(
-            0, pickle.dumps(model), ServingConfig(cache_capacity=16), 0, 0.0
-        )
-        with pytest.raises(ConfigurationError, match="sliced replica"):
-            replica_proto.resync_sliced(
-                1, pickle.dumps(model.slice_users(np.arange(2))), np.arange(2), N_USERS
-            )
+        store, _ = _install_sliced(model, np.arange(N_USERS))
+        other = None
+        try:
+            first = replica_proto._REPLICA.attached
+            evens = np.arange(0, N_USERS, 2)
+            ack = _reinstall_sliced(model, evens, store.handle(), epoch=1)
+            assert replica_proto._REPLICA.attached is first
+            assert ack.epoch == 1 and ack.model_n_users == N_USERS
+            result = replica_proto.query_slice(1, evens[:4], 5, True, True)
+            for a, b in zip(result.results, model.top_k_batch(evens[:4], 5)):
+                np.testing.assert_array_equal(a, b)
+            with pytest.raises(StaleReplicaError, match="slice"):
+                replica_proto.query_slice(1, [1], 5, True, True)  # no longer owned
+            other = shared_state.SharedItemStore(model.shared_item_state())
+            _reinstall_sliced(model, evens, other.handle(), epoch=2)
+            assert replica_proto._REPLICA.attached is not first
+            assert replica_proto._REPLICA.attached.handle == other.handle()
+        finally:
+            store.close()
+            if other is not None:
+                other.close()
 
 
 def _service(model, **kwargs):
@@ -325,7 +337,6 @@ class TestSlicedServiceIntegration:
             service.bus.publish = lambda event: (published.append(event), original(event))
             assigned = service.inject_batch([[0, 1, 2], [3, 4], [5, 6, 7]])
             assert len(published) == 1  # one event for the whole burst
-            assert published[0].kind == "inject_batch"
             assert len(published[0].records) == 3
             assert service.bus.n_deliveries == 3 * service.n_shards
             # Every injected user is immediately servable, wherever routed.
@@ -347,7 +358,7 @@ class TestSlicedServiceIntegration:
             original = service.bus.publish
             service.bus.publish = lambda event: (published.append(event), original(event))
             assert service.inject_batch(profiles) == oracle.inject_batch(profiles)
-            assert [event.kind for event in published] == ["inject_batch"]
+            assert len(published) == 1
             assert len(published[0].records) == 3
             users = list(range(oracle.n_users))
             for served, expected in zip(service.query(users, k=5), oracle.query(users, k=5)):

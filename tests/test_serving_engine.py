@@ -273,7 +273,6 @@ class TestReplicationStaleness:
             _model(), n_shards=2, engine="process"
         ) as service:
             skipped = replica_proto.ReplicationEvent(
-                kind="inject_batch",
                 epoch=service.epoch + 2,  # one record, but skips epoch + 1
                 records=(
                     replica_proto.InjectionRecord(
@@ -283,14 +282,6 @@ class TestReplicationStaleness:
             )
             with pytest.raises(StaleReplicaError, match="out-of-order"):
                 service._engine.call(0, replica_proto.apply_event, skipped)
-
-    def test_unknown_event_kind_rejected(self):
-        with ShardedRecommendationService(
-            _model(), n_shards=1, engine="process"
-        ) as service:
-            bogus = replica_proto.ReplicationEvent(kind="gossip", epoch=1)
-            with pytest.raises(ConfigurationError, match="unknown replication"):
-                service._engine.call(0, replica_proto.apply_event, bogus)
 
 
 class TestEngineSelection:

@@ -12,7 +12,7 @@ service, for arbitrary episode scripts.
 
 The process engine extends the property across process boundaries: a
 restore must also roll back every worker's *replica* (model, cache
-entries, stats) through the resync replication event, and the
+entries, stats) by re-installing it at a new epoch, and the
 epoch-acknowledgement protocol must guarantee that no replica ever
 serves a recommendation from a pre-injection model version once the
 injection's epoch is acknowledged — pinned here for arbitrary
@@ -115,10 +115,6 @@ def _observable_state(service) -> dict:
         state["shards"] = service.shard_summaries()
         state["shard_cache_versions"] = [
             None if shard.cache is None else shard.cache.version
-            for shard in service.shards
-        ]
-        state["shard_denials"] = [
-            (shard.limiter.n_denied_queries, shard.limiter.n_denied_injections)
             for shard in service.shards
         ]
         state["bus"] = (list(service.bus.events), service.bus.n_deliveries)
@@ -290,7 +286,7 @@ def test_acknowledged_epochs_are_never_served_stale(epoch_platform, ops):
     """No replica serves a pre-injection model version once its epoch acks.
 
     ``inject`` returns only after every worker acknowledged the new
-    epoch, and ``restore`` only after every worker resynced, so in
+    epoch, and ``restore`` only after every worker re-installed, so in
     strict staleness mode *every* subsequently served list must equal
     the coordinator model's current ground truth — for arbitrary
     interleavings.  A replica that lagged would either serve a stale
@@ -339,13 +335,7 @@ def test_worker_shard_reset_rewinds_snapshot_sequence():
     from repro.serving.replica import CacheSnapshot
     from repro.serving.sharded import _WorkerShard
 
-    shard = _WorkerShard(
-        index=0,
-        config=ServingConfig(cache_capacity=8),
-        per_client_policies={},
-        limiter_kwargs={},
-        n_items=16,
-    )
+    shard = _WorkerShard(index=0, config=ServingConfig(cache_capacity=8), n_items=16)
     shard.apply_snapshot(CacheSnapshot(seq=5, hits=3, misses=2, n_entries=4))
     assert shard.cache.stats.hits == 3
 

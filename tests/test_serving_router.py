@@ -72,7 +72,6 @@ class TestCollisionTieBreak:
         assert router._ring_shards == [0]
         for user in range(50):
             assert router.shard_for_user(user) == 0
-        assert router.shard_for_client("organic") == 0
 
     def test_key_on_ring_point_belongs_to_that_point(self, monkeypatch):
         router = _crafted_router(

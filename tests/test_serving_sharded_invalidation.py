@@ -199,11 +199,11 @@ def test_bus_keeps_a_bounded_window_next_to_an_exact_count():
     n = 3 * RECENT_SAMPLES + 5
     for user_id in range(n - 10):
         record = InjectionRecord(user_id=user_id, profile=(0,), owner_shard=0)
-        bus.publish(ReplicationEvent(kind="inject_batch", epoch=user_id, records=(record,)))
+        bus.publish(ReplicationEvent(epoch=user_id, records=(record,)))
     burst = tuple(
         InjectionRecord(user_id=u, profile=(0,), owner_shard=0) for u in range(n - 10, n)
     )
-    bus.publish(ReplicationEvent(kind="inject_batch", epoch=n, records=burst))
+    bus.publish(ReplicationEvent(epoch=n, records=burst))
     assert bus.n_events == n and bus.n_deliveries == n
     assert len(bus.events) == RECENT_SAMPLES
     assert sorted(bus.events) == list(range(n - RECENT_SAMPLES, n))
